@@ -447,10 +447,14 @@ def _topological_order(edges: dict[int, list[tuple[int, str]]]) -> list[int] | N
     return order
 
 
+def _acyclic_order(dfa: Dfa) -> list[int] | None:
+    """Reachable states in topological order of the change graph, or None."""
+    return _topological_order(_change_edges(dfa, _reachable_order(dfa)))
+
+
 def is_partially_ordered(dfa: Dfa) -> bool:
     """True iff the only cycles among reachable states are self-loops."""
-    reachable = _reachable_order(dfa)
-    return _topological_order(_change_edges(dfa, reachable)) is not None
+    return _acyclic_order(dfa) is not None
 
 
 def sup_variation(dfa: Dfa) -> int | float:

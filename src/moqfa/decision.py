@@ -11,15 +11,15 @@ and oracle agree on every corpus input.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import is_j_trivial, letters_idempotent, transition_monoid
-from .automata import Dfa, is_literally_idempotent, is_partially_ordered, minimize
+from .automata import Dfa, _acyclic_order, is_literally_idempotent, is_partially_ordered, minimize
 from .errors import ResourceLimitError
 from .patterns import SubsequencePattern
 from .quantum import DensityMatrix, cutpoint_params, measure, pattern_automaton
@@ -41,58 +41,50 @@ class Diagnosis:
 
 
 def is_piecewise_testable(min_dfa: Dfa) -> bool:
-    """Decide whether the language's syntactic monoid is J-trivial, on the DFA.
+    """Decide piecewise testability of the language of a minimal DFA.
 
-    Pre: the input is minimal.  The language fails exactly when the minimal
-    DFA has a non-trivial cycle, or when two distinct states, each fixed by
-    every letter of their joint stabilizer alphabet, are reachable from a
-    common state by words over that stabilizer (an unresolvable fork: pumping
-    the two access paths produces words with identical short subsequences but
-    different futures).  The test suite validates this criterion against the
-    monoid route on exhaustive and random corpora.
+    Pre: the input is minimal.  By Klima and Polak ("Alternative automata
+    characterization of piecewise testable languages", DLT 2013), the
+    language is piecewise testable iff its minimal DFA is acyclic (the only
+    cycles are self-loops) and locally confluent: for every state q and
+    letters a, b some w in {a, b}* has q.aw = q.bw.  Both are checked by one
+    topological sort and one O(|alphabet|^2 * n) sweep in
+    `confluence_violation`.
     """
-    if not is_partially_ordered(min_dfa):
+    try:
+        return confluence_violation(min_dfa) is None
+    except ValueError:  # a non-trivial cycle
         return False
-    return not _fork_violation_exists(min_dfa)
 
 
-def _fork_violation_exists(dfa: Dfa) -> bool:
-    n = dfa.state_count
-    n_sym = len(dfa.alphabet)
-    trans = dfa.transitions
-    fixed_by = [frozenset(q for q in range(n) if trans[q][c] == q) for c in range(n_sym)]
-    candidates = set()
-    for c in range(n_sym):
-        states = sorted(fixed_by[c])
-        for i, s in enumerate(states):
-            for t in states[i + 1 :]:
-                candidates.add((s, t))
-    if not candidates:
-        return False
-    predecessors = [[[] for _ in range(n)] for _ in range(n_sym)]
-    for q in range(n):
-        for c in range(n_sym):
-            predecessors[c][trans[q][c]].append(q)
+def confluence_violation(min_dfa: Dfa) -> tuple[int, str, str] | None:
+    """First (q, a, b) at which a minimal DFA is not locally confluent, or None.
 
-    def ancestors(state: int, stabilizer: tuple[int, ...]) -> set[int]:
-        seen = {state}
-        queue = deque([state])
-        while queue:
-            q = queue.popleft()
-            for c in stabilizer:
-                for p in predecessors[c][q]:
-                    if p not in seen:
-                        seen.add(p)
-                        queue.append(p)
-        return seen
-
-    for s, t in sorted(candidates):
-        stabilizer = tuple(
-            c for c in range(n_sym) if s in fixed_by[c] and t in fixed_by[c]
-        )
-        if ancestors(s, stabilizer) & ancestors(t, stabilizer):
-            return True
-    return False
+    q.a and q.b both differ from q, and words over {a, b} lead them to
+    different states fixed by both letters.  Letter pairs are tried in
+    alphabet order, states from the sinks backwards.  Raises ValueError when
+    the DFA has a non-trivial cycle.
+    """
+    order = _acyclic_order(min_dfa)
+    if order is None:
+        raise ValueError("local confluence is decided on partially ordered DFAs only")
+    # In an acyclic DFA the {a, b}-steps terminate, so by Newman's lemma local
+    # confluence holds iff every state reaches a unique state fixed by both
+    # letters, its {a, b}-sink.  Visiting successors before predecessors
+    # gives each state's sink from those of q.a and q.b.
+    trans = min_dfa.transitions
+    alphabet = min_dfa.alphabet
+    sink = [0] * min_dfa.state_count
+    for i, j in itertools.combinations(range(len(alphabet)), 2):
+        for q in reversed(order):
+            qa, qb = trans[q][i], trans[q][j]
+            if qa == q:
+                sink[q] = q if qb == q else sink[qb]
+            elif qb == q or sink[qa] == sink[qb]:
+                sink[q] = sink[qa]
+            else:
+                return q, alphabet[i], alphabet[j]
+    return None
 
 
 def diagnose(dfa: Dfa) -> Diagnosis:
@@ -104,7 +96,7 @@ def diagnose(dfa: Dfa) -> Diagnosis:
     minimal = minimize(dfa)
     literally = is_literally_idempotent(minimal)
     ordered = is_partially_ordered(minimal)
-    testable = is_piecewise_testable(minimal)
+    testable = ordered and is_piecewise_testable(minimal)
     verdict = literally and testable
     if verdict:
         reason = None
@@ -229,14 +221,7 @@ def random_dfa(seed: int, n_states: int, alphabet) -> Dfa:
     order, then one randrange(2) per state for accepting membership.  The
     initial state is 0.
     """
-    if n_states < 1:
-        raise ValueError("need at least one state")
-    rng = random.Random(seed)
-    rows = tuple(
-        tuple(rng.randrange(n_states) for _ in alphabet) for _ in range(n_states)
-    )
-    accepting = frozenset(q for q in range(n_states) if rng.randrange(2))
-    return Dfa(tuple(alphabet), rows, 0, accepting)
+    return _seeded_dfa(seed, n_states, alphabet, forward_only=False)
 
 
 def random_partially_ordered_dfa(seed: int, n_states: int, alphabet) -> Dfa:
@@ -246,11 +231,17 @@ def random_partially_ordered_dfa(seed: int, n_states: int, alphabet) -> Dfa:
     drawn uniformly from {q, ..., n_states - 1}, so every edge is a self-loop
     or moves strictly forward.
     """
+    return _seeded_dfa(seed, n_states, alphabet, forward_only=True)
+
+
+def _seeded_dfa(seed: int, n_states: int, alphabet, forward_only: bool) -> Dfa:
+    # randrange(0, n) and randrange(n) draw the same value from the same state
     if n_states < 1:
         raise ValueError("need at least one state")
     rng = random.Random(seed)
     rows = tuple(
-        tuple(rng.randrange(q, n_states) for _ in alphabet) for q in range(n_states)
+        tuple(rng.randrange(q if forward_only else 0, n_states) for _ in alphabet)
+        for q in range(n_states)
     )
     accepting = frozenset(q for q in range(n_states) if rng.randrange(2))
     return Dfa(tuple(alphabet), rows, 0, accepting)

@@ -15,7 +15,9 @@ from moqfa import (
     ResourceLimitError,
     SubsequencePattern,
     complement,
+    confluence_violation,
     diagnose,
+    is_j_trivial,
     is_partially_ordered,
     is_piecewise_testable,
     is_r_trivial,
@@ -60,12 +62,111 @@ def test_pt_examples():
 
 
 def test_pt_rejects_partially_ordered_fork():
-    # "starts with a" is partially ordered yet not piecewise testable: both
-    # sinks are fixed by both letters and share the initial state as ancestor
+    # "starts with a" is partially ordered yet not piecewise testable: the
+    # initial state's a- and b-successors are two different sinks
     d = minimize(starts_with_a())
     assert is_partially_ordered(d)
     assert not is_piecewise_testable(d)
     assert not monoid_oracle(d)
+    assert confluence_violation(d) == (0, "a", "b")
+    assert_confluence_witness(d, (0, "a", "b"))
+
+
+def partially_ordered_corpus(count: int = 1000) -> list[Dfa]:
+    return [random_partially_ordered_dfa(seed, 6, "abc") for seed in range(count)]
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [
+        lambda: support.exhaustive_dfas(3, "ab"),
+        support.random_corpus,
+        partially_ordered_corpus,
+    ],
+    ids=["exhaustive-3-ab", "random", "partially-ordered-6-abc"],
+)
+def test_pt_agrees_with_j_triviality(corpus):
+    # Simon: a language is piecewise testable iff its syntactic monoid is
+    # J-trivial; the transition monoid of the minimal DFA is that monoid
+    mismatches = []
+    for d in corpus():
+        m = minimize(d)
+        if is_piecewise_testable(m) != is_j_trivial(transition_monoid(m)):
+            mismatches.append(d)
+    assert mismatches == []
+
+
+def brute_fixed_sinks(dfa: Dfa, state: int, letters: tuple[str, str]) -> set[int]:
+    """States fixed by both letters that words over them reach from `state`."""
+    seen = {state}
+    pending = [state]
+    while pending:
+        q = pending.pop()
+        for sym in letters:
+            t = dfa.delta(q, sym)
+            if t not in seen:
+                seen.add(t)
+                pending.append(t)
+    return {q for q in seen if all(dfa.delta(q, sym) == q for sym in letters)}
+
+
+def brute_reachable(dfa: Dfa) -> set[int]:
+    seen = {dfa.initial}
+    pending = [dfa.initial]
+    while pending:
+        for t in dfa.transitions[pending.pop()]:
+            if t not in seen:
+                seen.add(t)
+                pending.append(t)
+    return seen
+
+
+def assert_confluence_witness(m: Dfa, witness) -> None:
+    q, a, b = witness
+    assert q in brute_reachable(m)
+    assert m.delta(q, a) != q and m.delta(q, b) != q
+    first = brute_fixed_sinks(m, m.delta(q, a), (a, b))
+    second = brute_fixed_sinks(m, m.delta(q, b), (a, b))
+    assert first != second
+
+
+def test_confluence_violation_witnesses_check_out():
+    violations = 0
+    for d in partially_ordered_corpus():
+        m = minimize(d)
+        witness = confluence_violation(m)
+        assert (witness is None) == is_piecewise_testable(m)
+        if witness is not None:
+            assert_confluence_witness(m, witness)
+            violations += 1
+    assert violations > 100
+
+
+def test_confluence_violation_needs_a_partially_ordered_dfa():
+    with pytest.raises(ValueError):
+        confluence_violation(minimize(even_a_blocks()))
+
+
+def test_ten_thousand_state_member_and_planted_fork():
+    # (ab)^5000 over abc: a 10,001-state chain whose states all fix c
+    ideal = pattern_dfa(SubsequencePattern(("a", "b") * 5000, "abc"))
+    assert ideal.state_count == 10_001
+    result = diagnose(ideal)
+    assert result.verdict and result.minimal_state_count == 10_001
+    # at the far end, send the last waiting state to a new rejecting sink on
+    # c; its b-successor is the accepting sink, so the fork cannot close
+    last = ideal.state_count - 2
+    rows = [list(row) for row in ideal.transitions]
+    rows[last][ideal.symbol_index("c")] = len(rows)
+    rows.append([len(rows)] * 3)
+    planted = Dfa("abc", rows, 0, ideal.accepting)
+    result = diagnose(planted)
+    assert not result.verdict and result.failure_reason == NOT_PT
+    assert result.literally_idempotent and result.partially_ordered
+    m = minimize(planted)
+    witness = confluence_violation(m)
+    assert witness is not None and witness[1:] == ("b", "c")
+    assert_confluence_witness(m, witness)
 
 
 def test_pt_agrees_with_monoid_on_exhaustive_three_state_dfas():
