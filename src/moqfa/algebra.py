@@ -138,64 +138,55 @@ def _strongly_connected_components(
     return components
 
 
-def _right_classes(monoid: FiniteMonoid) -> list[list[int]]:
+def _green_classes(monoid: FiniteMonoid, side: str) -> list[list[int]]:
+    """R-classes (side "R": x ~ xg) or L-classes (side "L": x ~ gx), as lists
+    of element indices: the strong components of the right or left Cayley
+    graph over the generators."""
     gens = [monoid.generator_map[s] for s in sorted(monoid.generator_map)]
     index = monoid.index
     elements = monoid.elements
 
-    def successors(i: int) -> list[int]:
+    def right(i: int) -> list[int]:
         return [index[compose(elements[i], g)] for g in gens]
 
-    return _strongly_connected_components(len(elements), successors)
-
-
-def _left_classes(monoid: FiniteMonoid) -> list[list[int]]:
-    gens = [monoid.generator_map[s] for s in sorted(monoid.generator_map)]
-    index = monoid.index
-    elements = monoid.elements
-
-    def successors(i: int) -> list[int]:
+    def left(i: int) -> list[int]:
         return [index[compose(g, elements[i])] for g in gens]
 
-    return _strongly_connected_components(len(elements), successors)
+    return _strongly_connected_components(len(elements), right if side == "R" else left)
 
 
-def _two_sided_classes(monoid: FiniteMonoid) -> list[list[int]]:
-    gens = [monoid.generator_map[s] for s in sorted(monoid.generator_map)]
-    index = monoid.index
-    elements = monoid.elements
+def _trivial(classes: list[list[int]]) -> bool:
+    return all(len(c) == 1 for c in classes)
 
-    def successors(i: int) -> list[int]:
-        out = [index[compose(elements[i], g)] for g in gens]
-        out.extend(index[compose(g, elements[i])] for g in gens)
-        return out
 
-    return _strongly_connected_components(len(elements), successors)
+def _one_idempotent_each(classes: list[list[int]], idempotent: list[bool]) -> bool:
+    return all(sum(idempotent[i] for i in c) <= 1 for c in classes)
 
 
 def is_r_trivial(monoid: FiniteMonoid) -> bool:
     """True iff distinct elements generate distinct right ideals (xM)."""
-    return all(len(c) == 1 for c in _right_classes(monoid))
+    return _trivial(_green_classes(monoid, "R"))
 
 
 def is_l_trivial(monoid: FiniteMonoid) -> bool:
     """True iff distinct elements generate distinct left ideals (Mx)."""
-    return all(len(c) == 1 for c in _left_classes(monoid))
+    return _trivial(_green_classes(monoid, "L"))
 
 
 def is_j_trivial(monoid: FiniteMonoid) -> bool:
-    """True iff distinct elements generate distinct two-sided ideals (MxM)."""
-    return all(len(c) == 1 for c in _two_sided_classes(monoid))
+    """True iff distinct elements generate distinct two-sided ideals (MxM).
+
+    In a finite monoid J = D = R.L (Pin, Mathematical Foundations of
+    Automata Theory, ch. V), so J-triviality is R- and L-triviality.
+    """
+    return is_r_trivial(monoid) and is_l_trivial(monoid)
 
 
 def is_block_group(monoid: FiniteMonoid) -> bool:
     """True iff every R-class and every L-class holds at most one idempotent."""
     idempotent = [compose(t, t) == t for t in monoid.elements]
-    for classes in (_right_classes(monoid), _left_classes(monoid)):
-        for members in classes:
-            if sum(1 for i in members if idempotent[i]) > 1:
-                return False
-    return True
+    classes = _green_classes(monoid, "R") + _green_classes(monoid, "L")
+    return _one_idempotent_each(classes, idempotent)
 
 
 def letters_idempotent(monoid: FiniteMonoid) -> bool:
@@ -222,13 +213,17 @@ class GreenReport:
 
 
 def green_report(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> GreenReport:
+    """All the tests from one R-class and one L-class computation."""
     monoid = transition_monoid(min_dfa, max_elements)
+    right, left = _green_classes(monoid, "R"), _green_classes(monoid, "L")
+    idempotent = [compose(t, t) == t for t in monoid.elements]
+    r_trivial, l_trivial = _trivial(right), _trivial(left)
     return GreenReport(
         monoid_size=len(monoid),
-        r_trivial=is_r_trivial(monoid),
-        l_trivial=is_l_trivial(monoid),
-        j_trivial=is_j_trivial(monoid),
-        block_group=is_block_group(monoid),
+        r_trivial=r_trivial,
+        l_trivial=l_trivial,
+        j_trivial=r_trivial and l_trivial,
+        block_group=_one_idempotent_each(right + left, idempotent),
         letters_idempotent=letters_idempotent(monoid),
-        idempotent_count=len(monoid.idempotents()),
+        idempotent_count=sum(idempotent),
     )

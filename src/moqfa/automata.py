@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import FormatError
+from .errors import FormatError, _TokenLines
 from .patterns import SubsequencePattern
 
 Word = Sequence[str]
@@ -89,22 +89,7 @@ def parse_dfa(text: str) -> Dfa:
     then exactly n x |alphabet| lines `trans <from> <sym> <to>` in any order.
     `#` begins a comment line.  Violations raise FormatError naming the line.
     """
-    rows = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((number, stripped.split()))
-    cursor = 0
-    last_line = len(text.splitlines())
-
-    def take(expected: str) -> tuple[int, list[str]]:
-        nonlocal cursor
-        if cursor >= len(rows):
-            raise FormatError(f"unexpected end of input (expected {expected})", last_line)
-        row = rows[cursor]
-        cursor += 1
-        return row
+    rows = _TokenLines(text)
 
     def parse_int(token: str, line: int, what: str) -> int:
         try:
@@ -112,14 +97,14 @@ def parse_dfa(text: str) -> Dfa:
         except ValueError:
             raise FormatError(f"bad {what} {token!r}", line) from None
 
-    line, tokens = take("'states <n>'")
+    line, tokens = rows.take("'states <n>'")
     if len(tokens) != 2 or tokens[0] != "states":
         raise FormatError("expected 'states <n>'", line)
     n = parse_int(tokens[1], line, "state count")
     if n < 1:
         raise FormatError("state count must be positive", line)
 
-    line, tokens = take("'alphabet <sym>...'")
+    line, tokens = rows.take("'alphabet <sym>...'")
     if not tokens or tokens[0] != "alphabet":
         raise FormatError("expected 'alphabet <sym> ...'", line)
     alphabet = tuple(tokens[1:])
@@ -128,15 +113,17 @@ def parse_dfa(text: str) -> Dfa:
             raise FormatError(f"symbols must be single printable characters, got {sym!r}", line)
     if len(set(alphabet)) != len(alphabet):
         raise FormatError("alphabet contains repeated symbols", line)
+    if not alphabet:  # n states and no transitions: memory not bounded by the input
+        raise FormatError("alphabet needs at least one symbol", line)
 
-    line, tokens = take("'initial <q>'")
+    line, tokens = rows.take("'initial <q>'")
     if len(tokens) != 2 or tokens[0] != "initial":
         raise FormatError("expected 'initial <q>'", line)
     initial = parse_int(tokens[1], line, "state")
     if not 0 <= initial < n:
         raise FormatError(f"initial state {initial} out of range", line)
 
-    line, tokens = take("'accepting ...'")
+    line, tokens = rows.take("'accepting ...'")
     if not tokens or tokens[0] != "accepting":
         raise FormatError("expected 'accepting [<q> ...]'", line)
     accepting = set()
@@ -146,10 +133,12 @@ def parse_dfa(text: str) -> Dfa:
             raise FormatError(f"accepting state {q} out of range", line)
         accepting.add(q)
 
+    # The table holds only the transitions given, keyed by src * k + c, so
+    # memory follows the input and not the declared state count.
+    k = len(alphabet)
     sym_index = {s: i for i, s in enumerate(alphabet)}
-    table: list[list[int | None]] = [[None] * len(alphabet) for _ in range(n)]
-    while cursor < len(rows):
-        line, tokens = take("'trans <from> <sym> <to>'")
+    table: dict[int, int] = {}
+    for line, tokens in rows.rest():
         if len(tokens) != 4 or tokens[0] != "trans":
             raise FormatError("expected 'trans <from> <sym> <to>'", line)
         src = parse_int(tokens[1], line, "state")
@@ -161,21 +150,26 @@ def parse_dfa(text: str) -> Dfa:
             raise FormatError(f"unknown symbol {sym!r}", line)
         if not 0 <= dst < n:
             raise FormatError(f"state {dst} out of range", line)
-        c = sym_index[sym]
-        if table[src][c] is not None:
+        key = src * k + sym_index[sym]
+        if key in table:
             raise FormatError(f"duplicate transition for state {src} on {sym!r}", line)
-        table[src][c] = dst
-    for q in range(n):
-        for c, sym in enumerate(alphabet):
-            if table[q][c] is None:
-                raise FormatError(
-                    f"missing transition for state {q} on {sym!r}", last_line
-                )
-    return Dfa(alphabet, table, initial, accepting)
+        table[key] = dst
+    if len(table) < n * k:
+        # the keys are distinct and below n * k, so a gap shows up within
+        # len(table) + 1 steps
+        key = next(key for key in range(n * k) if key not in table)
+        raise FormatError(
+            f"missing transition for state {key // k} on {alphabet[key % k]!r}",
+            rows.last_line,
+        )
+    flat = list(map(table.__getitem__, range(n * k)))
+    return Dfa(alphabet, [flat[q * k : q * k + k] for q in range(n)], initial, accepting)
 
 
 def serialize_dfa(dfa: Dfa) -> str:
     """Render a DFA in the text format (canonical line order)."""
+    if not dfa.alphabet:
+        raise ValueError("a DFA over the empty alphabet cannot be written to the text format")
     for sym in dfa.alphabet:
         if len(sym) != 1 or sym.isspace() or not sym.isprintable() or sym == "#":
             raise ValueError(f"symbol {sym!r} cannot be written to the text format")
@@ -241,8 +235,8 @@ def _refine_partition(n, n_sym, trans, accepting) -> list[set[int]]:
                 block = blocks[yi]
                 if len(inter) == len(block):
                     continue
-                rest = block - inter
-                small, big = (inter, rest) if len(inter) <= len(rest) else (rest, inter)
+                block -= inter  # in place: O(|inter|), where block - inter is O(|block|)
+                small, big = (inter, block) if len(inter) <= len(block) else (block, inter)
                 blocks[yi] = big
                 ni = len(blocks)
                 blocks.append(small)

@@ -16,13 +16,11 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import is_j_trivial, letters_idempotent, transition_monoid
 from .automata import Dfa, _acyclic_order, is_literally_idempotent, is_partially_ordered, minimize
 from .errors import ResourceLimitError
 from .patterns import SubsequencePattern
-from .quantum import DensityMatrix, cutpoint_params, measure, pattern_automaton
+from .quantum import EPS, DensityMatrix, _readout, cutpoint_params, measure, pattern_automaton
 
 NOT_LI = "NOT_LI"
 NOT_PT = "NOT_PT"
@@ -150,25 +148,26 @@ def verify_construction(
     pattern: SubsequencePattern,
     max_len: int,
     max_words: int = 2_000_000,
-    slack: float = 1e-9,
 ) -> VerificationReport:
     """Enumerate all words up to `max_len` and compare the acceptor's
     probabilities against subsequence membership and the isolation bound.
 
     A word is misclassified when (probability > cutpoint) disagrees with
     membership, and violates isolation when |probability - cutpoint| drops
-    below isolation - slack.  Words sharing a prefix share the simulated
+    below isolation - EPS.  Words sharing a prefix share the simulated
     state, so the run costs one measurement per enumerated word.  Raises
     ResourceLimitError when the enumeration would exceed `max_words`.
     """
     if max_len < 0:
         raise ValueError("maximum word length must be nonnegative")
     size = len(pattern.alphabet)
-    total = sum(size**length for length in range(max_len + 1))
-    if total > max_words:
-        raise ResourceLimitError(
-            f"enumerating {total} words exceeds the budget of {max_words}"
-        )
+    total = 0
+    for length in range(max_len + 1):
+        total += size**length
+        if total > max_words:
+            raise ResourceLimitError(
+                f"enumerating the words up to length {max_len} exceeds the budget of {max_words}"
+            )
     auto = pattern_automaton(pattern)
     cutpoint, isolation = cutpoint_params(pattern)
     accepting = auto.accepting_projector()
@@ -180,14 +179,14 @@ def verify_construction(
     while stack:
         word, rho = stack.pop()
         checked += 1
-        probability = min(1.0, max(0.0, float(np.trace(accepting @ rho.matrix).real)))
+        probability = _readout(accepting, rho)
         member = pattern.matches(word)
         if (probability > cutpoint) != member:
             misclassified.append(word)
         margin = abs(probability - cutpoint)
         if margin < min_margin:
             min_margin = margin
-        if margin < isolation - slack:
+        if margin < isolation - EPS:
             violations.append(word)
         if len(word) < max_len:
             for sym in reversed(pattern.alphabet):

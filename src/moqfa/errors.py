@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the line tokenizer shared by the text-format parsers."""
 
 from __future__ import annotations
 
@@ -19,3 +19,34 @@ class PatternError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A computation exceeded its configured size budget."""
+
+
+class _TokenLines:
+    """Non-blank, non-comment lines of a text artifact, pre-tokenised.
+    End-of-input errors name the last line of the text."""
+
+    def __init__(self, text: str):
+        lines = text.splitlines()
+        self.rows = [
+            (number, tokens)
+            for number, tokens in enumerate(map(str.split, lines), start=1)
+            if tokens and tokens[0][0] != "#"
+        ]
+        self.pos = 0
+        self.last_line = len(lines)
+
+    def peek(self) -> tuple[int, list[str]] | None:
+        return self.rows[self.pos] if self.pos < len(self.rows) else None
+
+    def take(self, expected: str) -> tuple[int, list[str]]:
+        row = self.peek()
+        if row is None:
+            raise FormatError(f"unexpected end of input (expected {expected})", self.last_line)
+        self.pos += 1
+        return row
+
+    def rest(self) -> list[tuple[int, list[str]]]:
+        """Every row not yet taken; the stream is then at its end."""
+        remaining = self.rows[self.pos :]
+        self.pos = len(self.rows)
+        return remaining

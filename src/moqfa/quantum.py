@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, _TokenLines
 from .patterns import SubsequencePattern
 
 EPS = 1e-9
@@ -236,8 +236,12 @@ def acceptance_probability(auto: MeasureOnlyAutomaton, word: Word) -> float:
         if obs is None:
             raise ValueError(f"symbol {sym!r} is not in the alphabet")
         rho = measure(rho, obs)
-    p = float(np.trace(auto.accepting_projector() @ rho.matrix).real)
-    return min(1.0, max(0.0, p))
+    return _readout(auto.accepting_projector(), rho)
+
+
+def _readout(accepting: np.ndarray, rho: DensityMatrix) -> float:
+    """Mass of `rho` on the accepting projector, clamped to [0, 1]."""
+    return min(1.0, max(0.0, float(np.trace(accepting @ rho.matrix).real)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +355,12 @@ def recognizes_with_cutpoint(
     isolation: float,
     member: Callable[[tuple[str, ...]], bool],
     words: Iterable[Word],
-    eps: float = EPS,
 ) -> CutpointReport:
     """Check cut-point recognition over a finite word set.
 
     A word passes when acceptance (probability strictly above `cutpoint`)
     agrees with `member` and the probability stays at distance at least
-    `isolation` - eps from the cut point.  The report passes iff every word
+    `isolation` - EPS from the cut point.  The report passes iff every word
     does; an empty word set passes vacuously.
     """
     if isolation <= 0:
@@ -372,7 +375,7 @@ def recognizes_with_cutpoint(
                 probability=p,
                 member=bool(member(w)),
                 accepted=p > cutpoint,
-                isolated=abs(p - cutpoint) >= isolation - eps,
+                isolated=abs(p - cutpoint) >= isolation - EPS,
             )
         )
     return CutpointReport(cutpoint, isolation, tuple(checks))
@@ -437,35 +440,6 @@ def _parse_entry(token: str, line: int) -> complex:
         raise FormatError(f"bad numeric entry {token!r}", line) from None
 
 
-class _TokenLines:
-    """Non-blank, non-comment lines of a text artifact, pre-tokenised."""
-
-    def __init__(self, text: str):
-        self.rows: list[tuple[int, list[str]]] = []
-        for number, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            self.rows.append((number, stripped.split()))
-        self.pos = 0
-        self.last_line = len(text.splitlines())
-
-    def peek(self) -> tuple[int, list[str]] | None:
-        return self.rows[self.pos] if self.pos < len(self.rows) else None
-
-    def take(self, expected: str | None = None) -> tuple[int, list[str]]:
-        row = self.peek()
-        if row is None:
-            raise FormatError(
-                f"unexpected end of input (expected {expected})"
-                if expected
-                else "unexpected end of input",
-                self.last_line,
-            )
-        self.pos += 1
-        return row
-
-
 def parse_automaton(text: str) -> MeasureOnlyAutomaton:
     """Parse the text format produced by `format_automaton`.
 
@@ -503,7 +477,7 @@ def parse_automaton(text: str) -> MeasureOnlyAutomaton:
             row = rows.peek()
             if row is None or row[1][0] != "outcome":
                 break
-            line, tokens = rows.take()
+            line, tokens = rows.take("'outcome <label>'")
             if len(tokens) != 2:
                 raise FormatError("expected 'outcome <label>'", line)
             label = tokens[1]
@@ -528,7 +502,7 @@ def parse_automaton(text: str) -> MeasureOnlyAutomaton:
         row = rows.peek()
         if row is None or row[1][0] != "observable":
             break
-        line, tokens = rows.take()
+        line, tokens = rows.take("'observable <symbol>'")
         if len(tokens) != 2:
             raise FormatError("expected 'observable <symbol>'", line)
         sym = tokens[1]

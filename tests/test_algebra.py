@@ -149,6 +149,32 @@ def test_green_predicates_agree_with_brute_force_ideals(seed, n, alphabet):
     assert is_block_group(m) == oracles.brute_block_group(elements)
 
 
+def test_green_report_matches_the_standalone_predicates():
+    # green_report derives every field from one R-class and one L-class
+    # computation; each predicate below builds its own classes
+    for d in support.random_corpus():
+        minimal = minimize(d)
+        m = transition_monoid(minimal)
+        report = green_report(minimal)
+        assert (
+            report.monoid_size,
+            report.r_trivial,
+            report.l_trivial,
+            report.j_trivial,
+            report.block_group,
+            report.letters_idempotent,
+            report.idempotent_count,
+        ) == (
+            len(m),
+            is_r_trivial(m),
+            is_l_trivial(m),
+            is_j_trivial(m),
+            is_block_group(m),
+            letters_idempotent(m),
+            len(m.idempotents()),
+        )
+
+
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 5), alphabet=st.sampled_from(["ab", "abc"]))
 @settings(max_examples=80, deadline=None)
 def test_j_trivial_implies_r_l_trivial_and_block_group(seed, n, alphabet):

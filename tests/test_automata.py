@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moqfa
 from moqfa import (
     Dfa,
     FormatError,
@@ -106,6 +112,34 @@ def test_parse_reports_missing_transition():
     assert "state 1" in str(err.value) and "'b'" in str(err.value)
 
 
+def test_parse_memory_follows_the_input_not_the_declared_state_count():
+    pytest.importorskip("resource")
+    # parsed in a child interpreter under a 600 MB address-space cap, so that
+    # a parser that sizes its table from the header fails there with
+    # MemoryError; a short file still reports its first missing pair, and an
+    # empty alphabet (n states, no transitions) is refused
+    header = "states 1000000000000\nalphabet a b\ninitial 0\naccepting\n"
+    texts = [header, header + "trans 0 b 0\ntrans 1 a 1\ntrans 0 a 0\n", "states 1000000000000\nalphabet\n"]
+    script = (
+        "import resource, moqfa\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))\n"
+        f"for text in {texts!r}:\n"
+        "    try:\n"
+        "        moqfa.parse_dfa(text)\n"
+        "    except moqfa.FormatError as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(moqfa.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert child.stdout.splitlines() == [
+        "line 4: missing transition for state 0 on 'a'",
+        "line 7: missing transition for state 1 on 'b'",
+        "line 2: alphabet needs at least one symbol",
+    ], child.stderr
+
+
 def test_parse_reports_duplicate_transition():
     text = CONTAINS_A_TEXT + "trans 1 b 1\n"
     with pytest.raises(FormatError) as err:
@@ -165,6 +199,14 @@ def test_minimize_pattern_dfa_is_canonical_already():
     d = pattern_dfa(p)
     assert d.state_count == 3
     assert minimize(d) == d
+
+
+def test_minimize_recovers_a_long_shuffled_chain():
+    # 20,001 states; refinement peels the chain off one state per split
+    d = pattern_dfa(SubsequencePattern("ab" * 10000, "abc"))
+    perm = list(range(d.state_count))
+    random.Random(1).shuffle(perm)
+    assert minimize(support.permute_states(d, perm)) == d
 
 
 def test_minimize_is_canonical_across_isomorphic_copies():

@@ -160,6 +160,15 @@ def test_verify_budget_exhaustion_is_exit_2(capsys):
     assert "budget" in err
 
 
+def test_verify_budget_refusal_for_a_huge_maxlen_is_exit_2(capsys):
+    code, out, err = run(
+        capsys, "verify", "--letters", "a", "--alphabet", "ab", "--maxlen", "20000"
+    )
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
 # ---------------------------------------------------------------------------
 # check
 

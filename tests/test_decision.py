@@ -275,6 +275,13 @@ def test_verify_budget_exceeded():
         verify_construction(SubsequencePattern("a", "ab"), 8, max_words=100)
 
 
+def test_verify_budget_refuses_long_words_at_once():
+    # the word count up to length 10**6 has about 301,000 digits; the
+    # refusal must come from the running sum, not from that total
+    with pytest.raises(ResourceLimitError, match="budget of 2000000"):
+        verify_construction(SubsequencePattern("a", "ab"), 10**6)
+
+
 def test_verify_probabilities_match_exact_fractions():
     pattern = SubsequencePattern("aba", "ab")
     report = verify_construction(pattern, 5)
