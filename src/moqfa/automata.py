@@ -171,7 +171,7 @@ def serialize_dfa(dfa: Dfa) -> str:
     if not dfa.alphabet:
         raise ValueError("a DFA over the empty alphabet cannot be written to the text format")
     for sym in dfa.alphabet:
-        if len(sym) != 1 or sym.isspace() or not sym.isprintable() or sym == "#":
+        if len(sym) != 1 or sym.isspace() or not sym.isprintable():
             raise ValueError(f"symbol {sym!r} cannot be written to the text format")
     lines = [f"states {dfa.state_count}"]
     lines.append("alphabet " + " ".join(dfa.alphabet))

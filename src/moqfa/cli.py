@@ -24,7 +24,6 @@ from .quantum import (
     format_automaton,
     parse_automaton,
     pattern_automaton,
-    validate_observable,
 )
 
 EXIT_OK = 0
@@ -91,12 +90,6 @@ def _cmd_prob(args) -> int:
         if args.letters is not None or args.alphabet is not None:
             raise _UsageError("give either --qfa or --letters/--alphabet, not both")
         auto = parse_automaton(_read(args.qfa))
-        problems = []
-        for sym in auto.alphabet:
-            problems += [f"observable {sym!r}: {p}" for p in validate_observable(auto.observables[sym])]
-        problems += [f"end-observable: {p}" for p in validate_observable(auto.end_observable)]
-        if problems:
-            raise ValueError("; ".join(problems))
     else:
         if args.letters is None or args.alphabet is None:
             raise _UsageError("need --letters and --alphabet (or --qfa)")

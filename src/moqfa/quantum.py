@@ -16,9 +16,10 @@ cut point 2^-(2k+1) with isolation radius 2^-(2k+2).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,13 +76,13 @@ def identity_observable(dimension: int, label: str = "pass") -> Observable:
     return Observable(dimension, ((label, np.eye(dimension)),))
 
 
-def validate_observable(obs: Observable, eps: float = EPS) -> list[str]:
+def validate_observable(obs: Observable) -> list[str]:
     """Check the projector-family laws; return human-readable violations.
 
     Structural problems (wrong shapes, non-finite entries, duplicate labels)
     are prefixed "structural:"; numeric law violations are prefixed
     "numeric:".  An empty list means the observable is valid at tolerance
-    `eps`.
+    `EPS`.
     """
     report: list[str] = []
     d = obs.dimension
@@ -101,19 +102,19 @@ def validate_observable(obs: Observable, eps: float = EPS) -> list[str]:
             continue
         usable.append((label, p))
     for label, p in usable:
-        if np.max(np.abs(p - p.conj().T)) > eps:
+        if np.max(np.abs(p - p.conj().T)) > EPS:
             report.append(f"numeric: projector {label!r} is not Hermitian")
-        if np.max(np.abs(p @ p - p)) > eps:
+        if np.max(np.abs(p @ p - p)) > EPS:
             report.append(f"numeric: projector {label!r} is not idempotent")
     for i, (label_i, p_i) in enumerate(usable):
         for label_j, p_j in usable[i + 1 :]:
-            if np.max(np.abs(p_i @ p_j)) > eps:
+            if np.max(np.abs(p_i @ p_j)) > EPS:
                 report.append(
                     f"numeric: projectors {label_i!r} and {label_j!r} are not orthogonal"
                 )
     if usable and len(usable) == len(obs.outcomes):
         total = sum(p for _, p in usable)
-        if np.max(np.abs(total - np.eye(d))) > eps:
+        if np.max(np.abs(total - np.eye(d))) > EPS:
             report.append("numeric: projectors do not sum to the identity")
     return report
 
@@ -150,6 +151,10 @@ class DensityMatrix:
         return cls(np.outer(v.conj(), v))
 
 
+def _channel(projectors: Iterable[np.ndarray], rho: np.ndarray) -> np.ndarray:
+    return sum(p @ rho @ p for p in projectors)
+
+
 def measure(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
     """Nonselective measurement channel: rho -> sum_i P_i rho P_i.
 
@@ -161,13 +166,9 @@ def measure(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
             f"dimension mismatch: state is {rho.dimension}, observable is {obs.dimension}"
         )
     d = rho.dimension
-    m = rho.matrix
-    out = np.zeros((d, d), dtype=np.complex128)
-    for _, p in obs.outcomes:
-        if p.shape != (d, d):
-            raise ValueError("observable has a projector of the wrong shape")
-        out += p @ m @ p
-    return DensityMatrix(out)
+    if any(p.shape != (d, d) for _, p in obs.outcomes):
+        raise ValueError("observable has a projector of the wrong shape")
+    return DensityMatrix(_channel((p for _, p in obs.outcomes), rho.matrix))
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,8 @@ class MeasureOnlyAutomaton:
 
     Fields: an ordered alphabet, a unit initial row vector, one observable per
     alphabet symbol, the end-word observable, and the set of its outcome
-    labels that count as accepting.
+    labels that count as accepting.  Every observable must pass
+    `validate_observable`; evaluation trusts them from then on.
     """
 
     alphabet: tuple[str, ...]
@@ -192,7 +194,7 @@ class MeasureOnlyAutomaton:
         init = _frozen_matrix(initial).reshape(-1)
         init.setflags(write=False)
         norm = math.sqrt(float(np.sum(np.abs(init) ** 2)))
-        if abs(norm - 1.0) > EPS:
+        if not abs(norm - 1.0) <= EPS:  # also refuses NaN
             raise ValueError(f"initial vector norm is {norm:.12g}, not 1")
         observables = dict(observables)
         if set(observables) != set(alphabet):
@@ -209,6 +211,11 @@ class MeasureOnlyAutomaton:
             raise ValueError(
                 f"accepting labels {sorted(unknown)} are not outcomes of the end-word observable"
             )
+        named = [(f"observable {sym!r}", observables[sym]) for sym in alphabet]
+        named.append(("end-observable", end_observable))
+        problems = [f"{name}: {p}" for name, obs in named for p in validate_observable(obs)]
+        if problems:
+            raise ValueError("; ".join(problems))
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "initial", init)
         object.__setattr__(self, "observables", observables)
@@ -230,18 +237,31 @@ class MeasureOnlyAutomaton:
 
 def acceptance_probability(auto: MeasureOnlyAutomaton, word: Word) -> float:
     """Probability that the acceptor accepts `word`, clamped to [0, 1]."""
-    rho = DensityMatrix.pure(auto.initial)
-    for sym in word:
-        obs = auto.observables.get(sym)
-        if obs is None:
-            raise ValueError(f"symbol {sym!r} is not in the alphabet")
-        rho = measure(rho, obs)
-    return _readout(auto.accepting_projector(), rho)
+    return next(acceptance_probabilities(auto, (word,)))
 
 
-def _readout(accepting: np.ndarray, rho: DensityMatrix) -> float:
-    """Mass of `rho` on the accepting projector, clamped to [0, 1]."""
-    return min(1.0, max(0.0, float(np.trace(accepting @ rho.matrix).real)))
+def acceptance_probabilities(auto: MeasureOnlyAutomaton, words: Iterable[Word]) -> Iterator[float]:
+    """Acceptance probability of each word in turn, clamped to [0, 1], on raw
+    arrays.  Each word starts from the state of the prefix it shares with the
+    previous word, so a word list in length-lexicographic order costs a few
+    channels per word.  An unknown symbol raises ValueError when reached.
+    """
+    channels = {sym: [p for _, p in obs.outcomes] for sym, obs in auto.observables.items()}
+    accepting = auto.accepting_projector()
+    # states[i] is the state after the first i letters of `previous`
+    previous, states = (), [np.outer(auto.initial.conj(), auto.initial)]
+    for word in map(tuple, words):
+        shared, limit = 0, min(len(word), len(previous))
+        while shared < limit and word[shared] == previous[shared]:
+            shared += 1
+        del states[shared + 1 :]
+        for sym in word[shared:]:
+            projectors = channels.get(sym)
+            if projectors is None:
+                raise ValueError(f"symbol {sym!r} is not in the alphabet")
+            states.append(_channel(projectors, states[-1]))
+        previous = word
+        yield min(1.0, max(0.0, float(np.trace(accepting @ states[-1]).real)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,20 +385,16 @@ def recognizes_with_cutpoint(
     """
     if isolation <= 0:
         raise ValueError("isolation radius must be positive")
-    checks = []
-    for w in words:
-        w = tuple(w)
-        p = acceptance_probability(auto, w)
-        checks.append(
-            WordCheck(
-                word=w,
-                probability=p,
-                member=bool(member(w)),
-                accepted=p > cutpoint,
-                isolated=abs(p - cutpoint) >= isolation - EPS,
-            )
-        )
-    return CutpointReport(cutpoint, isolation, tuple(checks))
+    checks = tuple(_word_checks(auto, cutpoint, isolation, member, words))
+    return CutpointReport(cutpoint, isolation, checks)
+
+
+def _word_checks(auto, cutpoint, isolation, member, words) -> Iterator[WordCheck]:
+    """The WordCheck of each word in turn, by the rule of `recognizes_with_cutpoint`."""
+    words, evaluated = itertools.tee(map(tuple, words))
+    for word, p in zip(words, acceptance_probabilities(auto, evaluated)):
+        isolated = abs(p - cutpoint) >= isolation - EPS
+        yield WordCheck(word, p, bool(member(word)), p > cutpoint, isolated)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +412,7 @@ def _format_entry(z: complex) -> str:
 
 
 def _check_token(kind: str, value: str) -> str:
-    if not value or any(ch.isspace() for ch in value) or value.startswith("#"):
+    if not value or any(ch.isspace() for ch in value):
         raise ValueError(f"{kind} {value!r} cannot be written to the text format")
     return value
 
@@ -410,7 +426,7 @@ def format_automaton(auto: MeasureOnlyAutomaton) -> str:
     `end-observable` section in the same shape, and `accepting: <labels>`.
     """
     for sym in auto.alphabet:
-        if len(sym) != 1 or sym.isspace() or not sym.isprintable() or sym == "#":
+        if len(sym) != 1 or sym.isspace() or not sym.isprintable():
             raise ValueError(f"symbol {sym!r} cannot be written to the text format")
     lines = [f"mon1qfa dim={auto.dimension} alphabet={''.join(auto.alphabet)}"]
     lines.append("initial: " + " ".join(_format_entry(z) for z in auto.initial))
@@ -444,9 +460,8 @@ def parse_automaton(text: str) -> MeasureOnlyAutomaton:
     """Parse the text format produced by `format_automaton`.
 
     Syntax errors raise FormatError naming the line; semantic problems (norm,
-    missing observables, unknown accepting labels) surface as ValueError from
-    the automaton constructor.  Projector-family laws are not enforced here;
-    run `validate_observable` on the parsed observables to check them.
+    missing observables, unknown accepting labels, projector-family laws)
+    surface as ValueError from the automaton constructor.
     """
     rows = _TokenLines(text)
     line, tokens = rows.take("header")
@@ -461,6 +476,8 @@ def parse_automaton(text: str) -> MeasureOnlyAutomaton:
     if dim < 1:
         raise FormatError("dimension must be positive", line)
     alphabet = tuple(tokens[2][len("alphabet=") :])
+    if not all(sym.isprintable() for sym in alphabet):
+        raise FormatError("alphabet symbols must be printable characters", line)
     if len(set(alphabet)) != len(alphabet):
         raise FormatError("alphabet contains repeated symbols", line)
 

@@ -164,7 +164,7 @@ def test_criterion_6_quantum_invariants():
             automata.append(pattern_automaton(pattern))
     for auto in automata:
         for obs in (*auto.observables.values(), auto.end_observable):
-            if validate_observable(obs, eps=1e-9):
+            if validate_observable(obs):
                 failures.append("observable laws")
     rng = np.random.default_rng(20260810)
     for auto in automata:

@@ -126,6 +126,25 @@ accepting: accept
     assert "identity" in err or "idempotent" in err
 
 
+def test_prob_refuses_a_nan_initial_vector(capsys, tmp_path):
+    nan = """\
+mon1qfa dim=1 alphabet=a
+initial: nan,0.0
+observable a
+outcome pass
+1.0,0.0
+end-observable
+outcome accept
+1.0,0.0
+accepting: accept
+"""
+    qfa = write(tmp_path, "nan.qfa", nan)
+    code, out, err = run(capsys, "prob", "--qfa", qfa, "--word", "a")
+    assert code == 1
+    assert out == ""
+    assert "initial vector norm is nan" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from moqfa import (
     Observable,
     PatternError,
     SubsequencePattern,
+    acceptance_probabilities,
     acceptance_probability,
     cutpoint_params,
     down_projector,
@@ -246,6 +250,51 @@ def test_pattern_acceptor_probabilities_are_dyadic():
             )
 
 
+def measure_loop_probability(auto, word):
+    """The acceptance probability spelled out with the public `measure`."""
+    rho = DensityMatrix.pure(auto.initial)
+    for sym in word:
+        rho = measure(rho, auto.observables[sym])
+    return min(1.0, max(0.0, float(np.trace(auto.accepting_projector() @ rho.matrix).real)))
+
+
+def test_acceptance_probabilities_equal_a_measure_loop():
+    rng = random.Random(20261018)
+    for seed in range(40):
+        alphabet = "ab" if seed % 2 else "abc"
+        auto = support.random_automaton(seed, seed % 4 + 1, alphabet)
+        bases = [tuple(rng.choice(alphabet) for _ in range(rng.randrange(7))) for _ in range(5)]
+        words = [()] + bases + bases[:2]  # the empty word and repeats
+        words += [w[:cut] for w in bases for cut in range(len(w))]  # shared prefixes
+        words += [w + (sym,) for w in bases for sym in alphabet]
+        rng.shuffle(words)
+        expected = [measure_loop_probability(auto, w) for w in words]
+        assert list(acceptance_probabilities(auto, words)) == expected
+        # and in length-lexicographic order, where neighbours share the most
+        order = sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
+        ordered = acceptance_probabilities(auto, [words[i] for i in order])
+        assert list(ordered) == [expected[i] for i in order]
+
+
+def test_acceptance_probabilities_reject_a_foreign_symbol_in_a_later_word():
+    auto = pattern_automaton(pattern("ab", "ab"))
+    probabilities = acceptance_probabilities(auto, ["ab", "a", "abx"])
+    assert next(probabilities) == acceptance_probability(auto, "ab")
+    assert next(probabilities) == acceptance_probability(auto, "a")
+    with pytest.raises(ValueError, match="'x'"):
+        next(probabilities)
+
+
+def test_pattern_acceptors_agree_with_the_exact_oracle():
+    words = list(support.words_up_to("abc", 4))
+    random.Random(7).shuffle(words)
+    for p in support.patterns_up_to(4, "abc"):
+        probabilities = acceptance_probabilities(pattern_automaton(p), words)
+        for word, probability in zip(words, probabilities, strict=True):
+            exact = oracles.exact_pattern_probability(p.letters, word)
+            assert abs(probability - float(exact)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the constructed automaton as a whole
 
@@ -274,7 +323,7 @@ def test_observable_laws_hold_up_to_length_eight():
     for p in candidates:
         auto = pattern_automaton(p)
         for obs in (*auto.observables.values(), auto.end_observable):
-            assert validate_observable(obs, eps=1e-9) == []
+            assert validate_observable(obs) == []
 
 
 def test_automaton_constructor_validations():
@@ -295,6 +344,29 @@ def test_automaton_constructor_validations():
         MeasureOnlyAutomaton(
             "ab", good.initial, good.observables, good.end_observable, {"nope"}
         )
+
+
+def test_automaton_constructor_refuses_a_nan_initial_vector():
+    good = pattern_automaton(pattern("a", "ab"))
+    with pytest.raises(ValueError, match="initial vector norm is nan"):
+        MeasureOnlyAutomaton(
+            "ab", [np.nan, 0.0], good.observables, good.end_observable, {"accept"}
+        )
+    text = format_automaton(good).replace("initial: 1.0,0.0 0.0,0.0", "initial: nan,0.0 0.0,0.0")
+    with pytest.raises(ValueError, match="initial vector norm is nan"):
+        parse_automaton(text)
+
+
+def test_automaton_constructor_validates_every_observable():
+    good = pattern_automaton(pattern("a", "ab"))
+    half = 0.5 * np.eye(2)
+    observables = dict(good.observables, a=Observable(2, (("x", half), ("y", half))))
+    message = "observable 'a': numeric: projector 'x' is not idempotent"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MeasureOnlyAutomaton("ab", good.initial, observables, good.end_observable, {"accept"})
+    end = Observable(2, (("accept", np.eye(2)), ("reject", np.eye(2))))
+    with pytest.raises(ValueError, match=re.escape("end-observable: numeric: projectors 'accept'")):
+        MeasureOnlyAutomaton("ab", good.initial, good.observables, end, {"accept"})
 
 
 def test_cutpoint_params_are_exact():
