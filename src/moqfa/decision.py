@@ -12,7 +12,6 @@ and oracle agree on every corpus input.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .errors import ResourceLimitError
 from .patterns import SubsequencePattern
 # `measure` is unused here; it stays a module attribute because the verify
 # workload of perfbench/workloads.py traces `decision.measure` by that name.
-from .quantum import _word_checks, cutpoint_params, measure, pattern_automaton
+from .quantum import cutpoint_params, measure, pattern_automaton
 
 NOT_LI = "NOT_LI"
 NOT_PT = "NOT_PT"
@@ -151,45 +150,47 @@ def verify_construction(
     max_len: int,
     max_words: int = 2_000_000,
 ) -> VerificationReport:
-    """Enumerate all words up to `max_len` and compare the acceptor's
-    probabilities against subsequence membership and the isolation bound.
+    """Check the pattern acceptor on every word up to `max_len`, exactly.
 
     A word is misclassified when (probability > cutpoint) disagrees with
-    membership, and violates isolation when |probability - cutpoint| drops
-    below isolation - EPS (the rule of `recognizes_with_cutpoint`).  Words
-    stream in length-lexicographic order.  Raises ResourceLimitError when the
-    enumeration would exceed `max_words`.
+    subsequence membership, and violates isolation when |probability -
+    cutpoint| < isolation; both sides are compared as exact rationals.
+
+    The acceptor is the one `pattern_automaton` builds.  Its letters map
+    diagonal states to diagonal states (checked exactly; otherwise
+    ValueError), and two words that reach the same (pattern progress,
+    diagonal state) pair have the same future.  So the words are walked one
+    length at a time as a count of the words reaching each distinct pair,
+    and only the pairs that fail are expanded back into their words, in
+    length-lexicographic order.  Raises ResourceLimitError when the words
+    would exceed `max_words`, counted as words, not pairs.
     """
     if max_len < 0:
         raise ValueError("maximum word length must be nonnegative")
-    lengths = range(max_len + 1)
     size = len(pattern.alphabet)
     total = 0
-    for length in lengths:
+    for length in range(max_len + 1):
         total += size**length
         if total > max_words:
             raise ResourceLimitError(
                 f"enumerating the words up to length {max_len} exceeds the budget of {max_words}"
             )
-    auto = pattern_automaton(pattern)
+    # imported on use: the exact walk and fractions (with decimal) are
+    # needed only when a verification runs, not by `import moqfa`
+    from .exact import check_pattern_acceptor
+
     cutpoint, isolation = cutpoint_params(pattern)
-    words = (w for n in lengths for w in itertools.product(pattern.alphabet, repeat=n))
-    misclassified, violations = [], []
-    min_margin = math.inf
-    for check in _word_checks(auto, cutpoint, isolation, pattern.matches, words):
-        if check.accepted != check.member:
-            misclassified.append(check.word)
-        if not check.isolated:
-            violations.append(check.word)
-        min_margin = min(min_margin, abs(check.probability - cutpoint))
+    words_checked, misclassified, violations, min_margin = check_pattern_acceptor(
+        pattern, pattern_automaton(pattern), cutpoint, isolation, max_len
+    )
     return VerificationReport(
         pattern=pattern,
         cutpoint=cutpoint,
         isolation=isolation,
         max_len=max_len,
-        words_checked=total,
-        misclassified=tuple(misclassified),
-        isolation_violations=tuple(violations),
+        words_checked=words_checked,
+        misclassified=misclassified,
+        isolation_violations=violations,
         min_margin=min_margin,
     )
 

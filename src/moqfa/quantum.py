@@ -385,16 +385,12 @@ def recognizes_with_cutpoint(
     """
     if isolation <= 0:
         raise ValueError("isolation radius must be positive")
-    checks = tuple(_word_checks(auto, cutpoint, isolation, member, words))
-    return CutpointReport(cutpoint, isolation, checks)
-
-
-def _word_checks(auto, cutpoint, isolation, member, words) -> Iterator[WordCheck]:
-    """The WordCheck of each word in turn, by the rule of `recognizes_with_cutpoint`."""
     words, evaluated = itertools.tee(map(tuple, words))
-    for word, p in zip(words, acceptance_probabilities(auto, evaluated)):
-        isolated = abs(p - cutpoint) >= isolation - EPS
-        yield WordCheck(word, p, bool(member(word)), p > cutpoint, isolated)
+    checks = tuple(
+        WordCheck(word, p, bool(member(word)), p > cutpoint, abs(p - cutpoint) >= isolation - EPS)
+        for word, p in zip(words, acceptance_probabilities(auto, evaluated))
+    )
+    return CutpointReport(cutpoint, isolation, checks)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,8 @@ from moqfa import (
     NOT_LI,
     NOT_PT,
     Dfa,
+    MeasureOnlyAutomaton,
+    Observable,
     ResourceLimitError,
     SubsequencePattern,
     complement,
@@ -28,6 +32,7 @@ from moqfa import (
     random_dfa,
     random_partially_ordered_dfa,
     transition_monoid,
+    decision,
     verify_construction,
 )
 
@@ -253,7 +258,7 @@ def test_verify_single_letter_pattern():
     assert report.ok
     assert report.words_checked == 127
     assert report.cutpoint == 0.125 and report.isolation == 0.0625
-    assert report.min_margin == pytest.approx(0.125, abs=1e-12)
+    assert report.min_margin == 0.125
     assert report.misclassified == () and report.isolation_violations == ()
 
 
@@ -267,7 +272,7 @@ def test_verify_zero_length_enumeration():
     report = verify_construction(SubsequencePattern("a", "ab"), 0)
     assert report.ok
     assert report.words_checked == 1
-    assert report.min_margin == pytest.approx(0.125, abs=1e-12)
+    assert report.min_margin == 0.125
 
 
 def test_verify_budget_exceeded():
@@ -290,6 +295,136 @@ def test_verify_probabilities_match_exact_fractions():
         exact = oracles.exact_pattern_probability(pattern.letters, word)
         member = oracles.is_subsequence(pattern.letters, word)
         assert (exact > report.cutpoint) == member
+
+
+def _patterns(alphabet: str, k: int):
+    for letters in itertools.product(alphabet, repeat=k):
+        if all(letters[i] != letters[i + 1] for i in range(k - 1)):
+            yield letters
+
+
+@pytest.mark.parametrize("alphabet, max_len", [("ab", 8), ("abc", 4), ("abcd", 3)])
+def test_verify_equals_exact_referee_on_every_short_pattern(alphabet, max_len):
+    # referee: every word, one by one, in exact arithmetic from tests/oracles.py
+    words = list(support.words_up_to(alphabet, max_len))
+    for k in range(6):
+        for letters in _patterns(alphabet, k):
+            lam = Fraction(1, 2 ** (2 * k + 1))
+            margin = None
+            for word in words:
+                p = oracles.exact_pattern_probability(letters, word)
+                assert (p > lam) == oracles.is_subsequence(letters, word)
+                assert abs(p - lam) >= lam / 2
+                margin = abs(p - lam) if margin is None else min(margin, abs(p - lam))
+            report = verify_construction(SubsequencePattern(letters, alphabet), max_len)
+            assert report.words_checked == len(words)
+            assert report.min_margin == float(margin)
+            assert report.misclassified == () and report.isolation_violations == ()
+
+
+def test_verify_counts_every_word_of_a_long_walk():
+    report = verify_construction(SubsequencePattern("ab", "abc"), 12)
+    assert report.ok
+    assert report.words_checked == (3**13 - 1) // 2
+
+
+def _with_accepting(auto, accepting):
+    return MeasureOnlyAutomaton(
+        auto.alphabet, auto.initial, auto.observables, auto.end_observable, accepting
+    )
+
+
+@pytest.mark.parametrize("letters, alphabet, max_len", [("aba", "ab", 8), ("ab", "abc", 5)])
+def test_verify_lists_every_failing_word_of_a_broken_acceptor(
+    monkeypatch, letters, alphabet, max_len
+):
+    # accepting on "reject" gives probability 1 - p, so most words are misclassified
+    real = decision.pattern_automaton
+    monkeypatch.setattr(
+        decision, "pattern_automaton", lambda p: _with_accepting(real(p), {"reject"})
+    )
+    report = verify_construction(SubsequencePattern(letters, alphabet), max_len)
+    lam = Fraction(1, 2 ** (2 * len(letters) + 1))
+    wrong, close = [], []
+    for word in support.words_up_to(alphabet, max_len):
+        p = 1 - oracles.exact_pattern_probability(letters, word)
+        if (p > lam) != oracles.is_subsequence(letters, word):
+            wrong.append(word)
+        if abs(p - lam) < lam / 2:
+            close.append(word)
+    assert wrong
+    assert report.misclassified == tuple(wrong)
+    assert report.isolation_violations == tuple(close)
+    assert not report.ok
+
+
+@pytest.mark.parametrize("letters, cutpoint", [("a", 0.5), ("ab", 0.25), ("aba", 0.125)])
+def test_verify_cut_point_on_a_reached_probability(monkeypatch, letters, cutpoint):
+    # a word whose probability equals the claimed cut point is rejected and
+    # not isolated: the rule is p > lambda and |p - lambda| >= delta, exactly
+    monkeypatch.setattr(decision, "cutpoint_params", lambda p: (cutpoint, cutpoint / 4))
+    report = verify_construction(SubsequencePattern(letters, "ab"), 6)
+    lam = Fraction(cutpoint)
+    wrong, close = [], []
+    for word in support.words_up_to("ab", 6):
+        p = oracles.exact_pattern_probability(letters, word)
+        if (p > lam) != oracles.is_subsequence(letters, word):
+            wrong.append(word)
+        if abs(p - lam) < lam / 4:
+            close.append(word)
+    assert any(oracles.exact_pattern_probability(letters, w) == lam for w in wrong)
+    assert report.misclassified == tuple(wrong)
+    assert report.isolation_violations == tuple(close)
+
+
+def test_verify_isolation_is_exact_at_k14(monkeypatch):
+    # at k = 14 the radius 2^-30 is below 1e-9, so a float rule with an
+    # absolute tolerance cannot see a violation; words shorter than the
+    # pattern have probability 0, at distance exactly lambda = 2^-29
+    pattern = SubsequencePattern("ab" * 7, "ab")
+    lam = Fraction(1, 2**29)
+    report = verify_construction(pattern, 14)
+    assert report.ok and report.min_margin == 2.0**-29
+    claimed = lam + Fraction(1, 2**60)
+    monkeypatch.setattr(decision, "cutpoint_params", lambda p: (float(lam), float(claimed)))
+    report = verify_construction(pattern, 10)
+    assert report.misclassified == ()
+    assert report.isolation_violations == tuple(support.words_up_to("ab", 10))
+    for word in report.isolation_violations:
+        assert abs(oracles.exact_pattern_probability(pattern.letters, word) - lam) < claimed
+    monkeypatch.setattr(decision, "cutpoint_params", lambda p: (float(lam), float(lam)))
+    assert verify_construction(pattern, 14).ok
+
+
+def _conjugated(auto, unitary):
+    def rotate(obs):
+        outcomes = [(label, unitary @ p @ unitary.conj().T) for label, p in obs.outcomes]
+        return Observable(obs.dimension, outcomes)
+
+    return MeasureOnlyAutomaton(
+        auto.alphabet,
+        unitary @ auto.initial,
+        {sym: rotate(obs) for sym, obs in auto.observables.items()},
+        rotate(auto.end_observable),
+        auto.accepting,
+    )
+
+
+@pytest.mark.parametrize(
+    "fix_initial, culprit", [(False, "initial state"), (True, "channel of 'a'")]
+)
+def test_verify_refuses_a_non_diagonal_acceptor(monkeypatch, fix_initial, culprit):
+    rng = np.random.default_rng(5)
+    d = 3
+    unitary, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    if fix_initial:  # the initial state stays diagonal, the letters do not
+        unitary[0, :] = unitary[:, 0] = 0
+        unitary[0, 0] = 1
+        unitary[1:, 1:], _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    real = decision.pattern_automaton
+    monkeypatch.setattr(decision, "pattern_automaton", lambda p: _conjugated(real(p), unitary))
+    with pytest.raises(ValueError, match=f"{culprit} is not diagonal"):
+        verify_construction(SubsequencePattern("ab", "abc"), 3)
 
 
 # ---------------------------------------------------------------------------
