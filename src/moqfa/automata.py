@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import FormatError, _TokenLines
 from .patterns import SubsequencePattern
@@ -202,8 +202,9 @@ def _reachable_order(dfa: Dfa) -> list[int]:
     return order
 
 
-def _refine_partition(n, n_sym, trans, accepting) -> list[set[int]]:
-    """Hopcroft partition refinement; returns the coarsest stable blocks."""
+def _refine_partition(n, n_sym, trans, accepting) -> list[int]:
+    """Hopcroft partition refinement; returns each state's block index in the
+    coarsest stable partition."""
     inv = [[[] for _ in range(n)] for _ in range(n_sym)]
     for q in range(n):
         row = trans[q]
@@ -212,12 +213,11 @@ def _refine_partition(n, n_sym, trans, accepting) -> list[set[int]]:
     acc = {q for q in range(n) if q in accepting}
     non = set(range(n)) - acc
     blocks = [set(g) for g in (acc, non) if g]
+    block_of = [0] * n
     if len(blocks) < 2:
-        return blocks
-    block_of = {}
-    for bi, block in enumerate(blocks):
-        for q in block:
-            block_of[q] = bi
+        return block_of
+    for q in non:
+        block_of[q] = 1
     work = {0, 1}
     while work:
         bi = work.pop()
@@ -245,7 +245,7 @@ def _refine_partition(n, n_sym, trans, accepting) -> list[set[int]]:
                 # if yi is queued the big half stays queued under yi, so
                 # queueing the new (smaller) index covers both cases
                 work.add(ni)
-    return blocks
+    return block_of
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -264,28 +264,16 @@ def minimize(dfa: Dfa) -> Dfa:
         tuple(compact[dfa.transitions[q][c]] for c in range(n_sym)) for q in order
     ]
     accepting = {compact[q] for q in dfa.accepting if q in compact}
-    blocks = _refine_partition(n, n_sym, trans, accepting)
-    block_of = {}
-    for bi, block in enumerate(blocks):
-        for q in block:
-            block_of[q] = bi
-    reps = {bi: min(block) for bi, block in enumerate(blocks)}
-    quotient = {
-        bi: tuple(block_of[trans[reps[bi]][c]] for c in range(n_sym)) for bi in reps
-    }
-    start = block_of[0]
-    numbering = {start: 0}
-    bfs = deque([start])
-    ordered = [start]
-    while bfs:
-        b = bfs.popleft()
-        for t in quotient[b]:
-            if t not in numbering:
-                numbering[t] = len(numbering)
-                ordered.append(t)
-                bfs.append(t)
-    new_trans = [tuple(numbering[t] for t in quotient[b]) for b in ordered]
-    new_acc = {numbering[b] for b in ordered if reps[b] in accepting}
+    block_of = _refine_partition(n, n_sym, trans, accepting)
+    # The compact states are in BFS discovery order, and the first state of
+    # each block is discovered from the first state of an earlier block, so
+    # numbering blocks by first appearance is the quotient's BFS numbering.
+    first: dict[int, int] = {}  # block -> its first state, in appearance order
+    for q, b in enumerate(block_of):
+        first.setdefault(b, q)
+    number = {b: i for i, b in enumerate(first)}
+    new_trans = [tuple(number[block_of[t]] for t in trans[q]) for q in first.values()]
+    new_acc = {number[b] for b, q in first.items() if q in accepting}
     return Dfa(dfa.alphabet, new_trans, 0, new_acc)
 
 
@@ -409,41 +397,27 @@ def variation(dfa: Dfa, word: Word) -> int:
     return changes
 
 
-def _change_edges(dfa: Dfa, states: Iterable[int]) -> dict[int, list[tuple[int, str]]]:
-    """Proper (state-changing) transitions, as q -> [(target, symbol)...]."""
-    edges = {}
-    for q in states:
-        out = []
-        for sym, t in zip(dfa.alphabet, dfa.transitions[q]):
+def _acyclic_order(dfa: Dfa) -> list[int] | None:
+    """Reachable states in topological order of the change graph (the
+    state-changing transitions), by Kahn's algorithm; None on a cycle."""
+    reachable = _reachable_order(dfa)
+    trans = dfa.transitions
+    indegree = dict.fromkeys(reachable, 0)
+    for q in reachable:
+        for t in trans[q]:
             if t != q:
-                out.append((t, sym))
-        edges[q] = out
-    return edges
-
-
-def _topological_order(edges: dict[int, list[tuple[int, str]]]) -> list[int] | None:
-    """Kahn's algorithm; None when the change graph has a cycle."""
-    indegree = {q: 0 for q in edges}
-    for q, out in edges.items():
-        for t, _ in out:
-            indegree[t] += 1
+                indegree[t] += 1
     ready = deque(sorted(q for q, d in indegree.items() if d == 0))
     order = []
     while ready:
         q = ready.popleft()
         order.append(q)
-        for t, _ in edges[q]:
-            indegree[t] -= 1
-            if indegree[t] == 0:
-                ready.append(t)
-    if len(order) != len(edges):
-        return None
-    return order
-
-
-def _acyclic_order(dfa: Dfa) -> list[int] | None:
-    """Reachable states in topological order of the change graph, or None."""
-    return _topological_order(_change_edges(dfa, _reachable_order(dfa)))
+        for t in trans[q]:
+            if t != q:
+                indegree[t] -= 1
+                if indegree[t] == 0:
+                    ready.append(t)
+    return order if len(order) == len(reachable) else None
 
 
 def is_partially_ordered(dfa: Dfa) -> bool:
@@ -465,24 +439,19 @@ def sup_variation_witness(dfa: Dfa) -> tuple[str, ...] | None:
 
 
 def _longest_change_path(dfa: Dfa) -> tuple[int | float, tuple[str, ...] | None]:
-    reachable = _reachable_order(dfa)
-    edges = _change_edges(dfa, reachable)
-    order = _topological_order(edges)
+    order = _acyclic_order(dfa)
     if order is None:
         return math.inf, None
+    # the initial state is the only source, so it comes first and every later
+    # state has a change edge from an earlier one: each has dist when visited
     dist: dict[int, int] = {dfa.initial: 0}
     back: dict[int, tuple[int, str]] = {}
     for q in order:
-        if q not in dist:
-            continue
-        for t, sym in edges[q]:
-            if dist[q] + 1 > dist.get(t, -1):
+        for sym, t in zip(dfa.alphabet, dfa.transitions[q]):
+            if t != q and dist[q] + 1 > dist.get(t, -1):
                 dist[t] = dist[q] + 1
                 back[t] = (q, sym)
-    best = dfa.initial
-    for q in order:
-        if q in dist and dist[q] > dist[best]:
-            best = q
+    best = max(order, key=dist.__getitem__)  # the first maximal state in order
     word: list[str] = []
     q = best
     while q in back:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .automata import pattern_dfa
 from .patterns import SubsequencePattern
 from .quantum import MeasureOnlyAutomaton
 
@@ -75,11 +76,7 @@ class _PairWalk:
 
     def __init__(self, pattern: SubsequencePattern, auto: MeasureOnlyAutomaton):
         self.alphabet = pattern.alphabet
-        letters = pattern.letters
-        self.advance = [
-            tuple(q + 1 if q < len(letters) and sym == letters[q] else q for sym in self.alphabet)
-            for q in range(len(letters) + 1)
-        ]
+        self.advance = pattern_dfa(pattern).transitions
         psi = auto.initial
         rho = psi.conj()[:, None] * psi[None, :]
         _check_diagonal(rho[None], "the initial state")

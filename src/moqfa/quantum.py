@@ -381,10 +381,13 @@ def recognizes_with_cutpoint(
     A word passes when acceptance (probability strictly above `cutpoint`)
     agrees with `member` and the probability stays at distance at least
     `isolation` - EPS from the cut point.  The report passes iff every word
-    does; an empty word set passes vacuously.
+    does; an empty word set passes vacuously.  A NaN cut point or radius
+    would make every comparison false, so both raise ValueError.
     """
-    if isolation <= 0:
+    if not isolation > 0:
         raise ValueError("isolation radius must be positive")
+    if math.isnan(cutpoint):
+        raise ValueError("cut point must not be NaN")
     words, evaluated = itertools.tee(map(tuple, words))
     checks = tuple(
         WordCheck(word, p, bool(member(word)), p > cutpoint, abs(p - cutpoint) >= isolation - EPS)

@@ -209,6 +209,34 @@ def test_minimize_recovers_a_long_shuffled_chain():
     assert minimize(support.permute_states(d, perm)) == d
 
 
+def _bfs_discovery(d: Dfa) -> list[int]:
+    """States in breadth-first discovery order from state 0 over the alphabet."""
+    order, seen = [0], {0}
+    for q in order:  # the list grows while it is read, so it is the queue
+        for t in d.transitions[q]:
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+    return order
+
+
+def test_minimize_numbers_states_in_bfs_discovery_order():
+    chain = pattern_dfa(SubsequencePattern("ab" * 200, "abc"))
+    n = chain.state_count
+    rng = random.Random(3)
+    # five unreachable states that lead into the chain and among themselves
+    extra = [tuple(rng.randrange(n + 5) for _ in "abc") for _ in range(5)]
+    padded = Dfa("abc", chain.transitions + tuple(extra), 0, {n - 1, n + 1})
+    perm = list(range(n + 5))
+    rng.shuffle(perm)
+    shuffled = support.permute_states(padded, perm)
+    assert minimize(shuffled) == chain
+    for d in support.random_corpus() + support.two_state_corpus() + (shuffled,):
+        minimal = minimize(d)
+        assert minimal.initial == 0
+        assert _bfs_discovery(minimal) == list(range(minimal.state_count))
+
+
 def test_minimize_is_canonical_across_isomorphic_copies():
     d = pattern_dfa(SubsequencePattern(("a", "b", "a"), ("a", "b")))
     shuffled = support.permute_states(d, [2, 0, 3, 1])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 
@@ -396,6 +397,20 @@ def test_recognizes_with_cutpoint_requires_positive_isolation():
     auto = pattern_automaton(pattern("a", "ab"))
     with pytest.raises(ValueError):
         recognizes_with_cutpoint(auto, 0.125, 0.0, lambda w: True, [])
+
+
+def test_recognizes_with_cutpoint_refuses_nan_radius():
+    # NaN <= 0 is false, and every |p - lambda| >= NaN reads "not isolated"
+    auto = pattern_automaton(pattern("a", "ab"))
+    with pytest.raises(ValueError, match="isolation radius must be positive"):
+        recognizes_with_cutpoint(auto, 0.125, math.nan, lambda w: True, [("a",)])
+
+
+def test_recognizes_with_cutpoint_refuses_nan_cutpoint():
+    # every p > NaN is false, so every word would read "not accepted"
+    auto = pattern_automaton(pattern("a", "ab"))
+    with pytest.raises(ValueError, match="cut point"):
+        recognizes_with_cutpoint(auto, math.nan, 0.0625, lambda w: True, [("a",)])
 
 
 # ---------------------------------------------------------------------------
