@@ -8,7 +8,6 @@ order, so element order and shortest witnesses are deterministic.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -28,9 +27,9 @@ def compose(first: Transformation, then: Transformation) -> Transformation:
 class FiniteMonoid:
     """Transition monoid of a DFA.
 
-    elements[0] is the identity; generator_map sends each alphabet symbol to
-    its transformation; shortest_witness records the length-lex-first word
-    reaching each element.
+    elements[0] is the identity; index is the position of each element;
+    generator_map sends each alphabet symbol to its transformation;
+    shortest_witness records the length-lex-first word reaching each element.
     """
 
     def __init__(
@@ -39,12 +38,13 @@ class FiniteMonoid:
         elements: tuple[Transformation, ...],
         generator_map: dict[str, Transformation],
         shortest_witness: dict[Transformation, tuple[str, ...]],
+        index: dict[Transformation, int],
     ):
         self.degree = degree
         self.elements = elements
         self.generator_map = generator_map
         self.shortest_witness = shortest_witness
-        self.index = {t: i for i, t in enumerate(elements)}
+        self.index = index
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -68,11 +68,10 @@ def transition_monoid(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> 
     elements = [identity]
     index = {identity: 0}
     witness = {identity: ()}
-    queue = deque([identity])
-    while queue:
-        current = queue.popleft()
-        for sym in min_dfa.alphabet:
-            successor = compose(current, generators[sym])
+    # elements grows while it is read, in BFS order: it is its own queue
+    for current in elements:
+        for sym, generator in generators.items():
+            successor = compose(current, generator)
             if successor not in index:
                 if len(elements) >= max_elements:
                     raise ResourceLimitError(
@@ -81,8 +80,7 @@ def transition_monoid(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> 
                 index[successor] = len(elements)
                 elements.append(successor)
                 witness[successor] = witness[current] + (sym,)
-                queue.append(successor)
-    return FiniteMonoid(n, tuple(elements), generators, witness)
+    return FiniteMonoid(n, tuple(elements), generators, witness, index)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +210,9 @@ class GreenReport:
     idempotent_count: int
 
 
-def green_report(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> GreenReport:
+def green_report(min_dfa: Dfa) -> GreenReport:
     """All the tests from one R-class and one L-class computation."""
-    monoid = transition_monoid(min_dfa, max_elements)
+    monoid = transition_monoid(min_dfa)
     right, left = _green_classes(monoid, "R"), _green_classes(monoid, "L")
     idempotent = [compose(t, t) == t for t in monoid.elements]
     r_trivial, l_trivial = _trivial(right), _trivial(left)

@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import FormatError, _TokenLines
+from .errors import FormatError, _check_alphabet, _TokenLines
 from .patterns import SubsequencePattern
 
 Word = Sequence[str]
@@ -30,27 +30,28 @@ class Dfa:
     _symbol_index: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, alphabet, transitions, initial, accepting):
-        alphabet = tuple(alphabet)
+        alphabet = _check_alphabet(alphabet)
         transitions = tuple(tuple(row) for row in transitions)
         accepting = frozenset(accepting)
-        if len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet contains repeated symbols")
         n = len(transitions)
         if n < 1:
             raise ValueError("a DFA needs at least one state")
+        # states are ints proper: a float or bool state would be written to
+        # the text format as a token the parser refuses
         for q, row in enumerate(transitions):
             if len(row) != len(alphabet):
                 raise ValueError(f"state {q} has {len(row)} transitions, expected {len(alphabet)}")
             for t in row:
-                if not isinstance(t, int) or not 0 <= t < n:
+                if type(t) is not int or not 0 <= t < n:
                     raise ValueError(f"state {q} has an out-of-range successor {t!r}")
-        if not 0 <= initial < n:
-            raise ValueError(f"initial state {initial} out of range")
-        if not accepting <= set(range(n)):
-            raise ValueError("accepting set contains out-of-range states")
+        if type(initial) is not int or not 0 <= initial < n:
+            raise ValueError(f"initial state {initial!r} out of range")
+        for q in accepting:
+            if type(q) is not int or not 0 <= q < n:
+                raise ValueError(f"accepting state {q!r} out of range")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "initial", int(initial))
+        object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "accepting", accepting)
         object.__setattr__(self, "_symbol_index", {s: i for i, s in enumerate(alphabet)})
 
@@ -107,12 +108,10 @@ def parse_dfa(text: str) -> Dfa:
     line, tokens = rows.take("'alphabet <sym>...'")
     if not tokens or tokens[0] != "alphabet":
         raise FormatError("expected 'alphabet <sym> ...'", line)
-    alphabet = tuple(tokens[1:])
-    for sym in alphabet:
-        if len(sym) != 1 or not sym.isprintable():
-            raise FormatError(f"symbols must be single printable characters, got {sym!r}", line)
-    if len(set(alphabet)) != len(alphabet):
-        raise FormatError("alphabet contains repeated symbols", line)
+    try:
+        alphabet = _check_alphabet(tokens[1:])
+    except ValueError as exc:
+        raise FormatError(str(exc), line) from None
     if not alphabet:  # n states and no transitions: memory not bounded by the input
         raise FormatError("alphabet needs at least one symbol", line)
 
@@ -170,9 +169,6 @@ def serialize_dfa(dfa: Dfa) -> str:
     """Render a DFA in the text format (canonical line order)."""
     if not dfa.alphabet:
         raise ValueError("a DFA over the empty alphabet cannot be written to the text format")
-    for sym in dfa.alphabet:
-        if len(sym) != 1 or sym.isspace() or not sym.isprintable():
-            raise ValueError(f"symbol {sym!r} cannot be written to the text format")
     lines = [f"states {dfa.state_count}"]
     lines.append("alphabet " + " ".join(dfa.alphabet))
     lines.append(f"initial {dfa.initial}")

@@ -49,20 +49,8 @@ def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _symbols(text: str, what: str) -> tuple[str, ...]:
-    for ch in text:
-        if ch.isspace() or not ch.isprintable():
-            raise ValueError(f"{what} may only contain printable characters")
-    return tuple(text)
-
-
 def _pattern_from_args(args) -> SubsequencePattern:
-    letters = []
-    for token in args.letters:
-        if len(token) != 1:
-            raise ValueError(f"pattern letters must be single characters, got {token!r}")
-        letters.append(token)
-    return SubsequencePattern(letters, _symbols(args.alphabet, "the alphabet"))
+    return SubsequencePattern(args.letters, args.alphabet)
 
 
 def _read(path: str) -> str:

@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import is_j_trivial, letters_idempotent, transition_monoid
+from .algebra import DEFAULT_ELEMENT_CAP, is_j_trivial, letters_idempotent, transition_monoid
 from .automata import Dfa, _acyclic_order, is_literally_idempotent, is_partially_ordered, minimize
 from .errors import ResourceLimitError
 from .patterns import SubsequencePattern
@@ -111,14 +111,10 @@ def diagnose(dfa: Dfa) -> Diagnosis:
     )
 
 
-def monoid_oracle(dfa: Dfa, max_elements: int | None = None) -> bool:
+def monoid_oracle(dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> bool:
     """Algebraic membership test: J-trivial syntactic monoid whose letter
     images are idempotent.  Agrees with diagnose(dfa).verdict on every input."""
-    minimal = minimize(dfa)
-    if max_elements is None:
-        monoid = transition_monoid(minimal)
-    else:
-        monoid = transition_monoid(minimal, max_elements)
+    monoid = transition_monoid(minimize(dfa), max_elements)
     return is_j_trivial(monoid) and letters_idempotent(monoid)
 
 

@@ -1,4 +1,5 @@
-"""Exception types and the line tokenizer shared by the text-format parsers."""
+"""Exception types, the alphabet rule, and the line tokenizer shared by the
+text-format parsers."""
 
 from __future__ import annotations
 
@@ -19,6 +20,19 @@ class PatternError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A computation exceeded its configured size budget."""
+
+
+def _check_alphabet(symbols) -> tuple[str, ...]:
+    """The alphabet as a tuple, or ValueError unless its symbols are distinct
+    and each one printable character other than space: the rule of every
+    constructor, so any automaton or pattern can be written as text."""
+    alphabet = tuple(symbols)
+    for sym in alphabet:
+        if not isinstance(sym, str) or len(sym) != 1 or sym == " " or not sym.isprintable():
+            raise ValueError(f"symbols must be single printable characters, got {sym!r}")
+    if len(set(alphabet)) != len(alphabet):
+        raise ValueError("alphabet contains repeated symbols")
+    return alphabet
 
 
 class _TokenLines:

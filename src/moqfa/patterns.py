@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import PatternError
+from .errors import PatternError, _check_alphabet
 
 
 @dataclass(frozen=True)
@@ -22,9 +22,10 @@ class SubsequencePattern:
 
     def __init__(self, letters: Iterable[str], alphabet: Iterable[str]):
         object.__setattr__(self, "letters", tuple(letters))
-        object.__setattr__(self, "alphabet", tuple(alphabet))
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise PatternError("alphabet contains repeated symbols")
+        try:
+            object.__setattr__(self, "alphabet", _check_alphabet(alphabet))
+        except ValueError as exc:
+            raise PatternError(str(exc)) from None
         missing = sorted(set(self.letters) - set(self.alphabet))
         if missing:
             raise PatternError(f"pattern letters {missing} are not in the alphabet")

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import FormatError, _TokenLines
+from .errors import FormatError, _check_alphabet, _TokenLines
 from .patterns import SubsequencePattern
 
 EPS = 1e-9
@@ -65,15 +65,9 @@ class Observable:
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.outcomes)
 
-    def projector(self, label: str) -> np.ndarray:
-        for name, matrix in self.outcomes:
-            if name == label:
-                return matrix
-        raise KeyError(label)
 
-
-def identity_observable(dimension: int, label: str = "pass") -> Observable:
-    return Observable(dimension, ((label, np.eye(dimension)),))
+def identity_observable(dimension: int) -> Observable:
+    return Observable(dimension, (("pass", np.eye(dimension)),))
 
 
 def validate_observable(obs: Observable) -> list[str]:
@@ -188,9 +182,7 @@ class MeasureOnlyAutomaton:
     accepting: frozenset[str]
 
     def __init__(self, alphabet, initial, observables, end_observable, accepting):
-        alphabet = tuple(alphabet)
-        if len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet contains repeated symbols")
+        alphabet = _check_alphabet(alphabet)
         init = _frozen_matrix(initial).reshape(-1)
         init.setflags(write=False)
         norm = math.sqrt(float(np.sum(np.abs(init) ** 2)))
@@ -293,14 +285,7 @@ def up_projector(pattern: SubsequencePattern, letter: str) -> np.ndarray:
 def down_projector(pattern: SubsequencePattern, letter: str) -> np.ndarray:
     """Orthogonal complement of `up_projector`: +1/2 on each block diagonal,
     -1/2 on the block off-diagonals, 0 everywhere else."""
-    k = len(pattern.letters)
-    d = k + 1
-    p = np.zeros((d, d), dtype=np.complex128)
-    for j in pattern.occurrence_positions(letter):
-        p[j - 1, j - 1] = 0.5
-        p[j, j] = 0.5
-        p[j - 1, j] = -0.5
-        p[j, j - 1] = -0.5
+    p = np.eye(len(pattern.letters) + 1) - up_projector(pattern, letter)
     p.setflags(write=False)
     return p
 
@@ -424,9 +409,6 @@ def format_automaton(auto: MeasureOnlyAutomaton) -> str:
     with an `outcome <label>` block (m rows of m entries) per projector, the
     `end-observable` section in the same shape, and `accepting: <labels>`.
     """
-    for sym in auto.alphabet:
-        if len(sym) != 1 or sym.isspace() or not sym.isprintable():
-            raise ValueError(f"symbol {sym!r} cannot be written to the text format")
     lines = [f"mon1qfa dim={auto.dimension} alphabet={''.join(auto.alphabet)}"]
     lines.append("initial: " + " ".join(_format_entry(z) for z in auto.initial))
 
@@ -474,11 +456,10 @@ def parse_automaton(text: str) -> MeasureOnlyAutomaton:
         raise FormatError("bad dimension in header", line) from None
     if dim < 1:
         raise FormatError("dimension must be positive", line)
-    alphabet = tuple(tokens[2][len("alphabet=") :])
-    if not all(sym.isprintable() for sym in alphabet):
-        raise FormatError("alphabet symbols must be printable characters", line)
-    if len(set(alphabet)) != len(alphabet):
-        raise FormatError("alphabet contains repeated symbols", line)
+    try:
+        alphabet = _check_alphabet(tokens[2][len("alphabet=") :])
+    except ValueError as exc:
+        raise FormatError(str(exc), line) from None
 
     line, tokens = rows.take("'initial:'")
     if tokens[0] != "initial:":

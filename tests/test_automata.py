@@ -97,6 +97,22 @@ def test_round_trip_parse_of_serialize():
         assert parse_dfa(serialize_dfa(d)) == d
 
 
+@pytest.mark.parametrize(
+    "transitions, initial, accepting",
+    [
+        ([(0, 1), (1, 1)], 0, {1.0}),
+        ([(0, True), (1, 1)], 0, {1}),
+        ([(0, 1), (1, 1)], 0.7, {1}),
+        ([(0, 1), (1, 1)], True, {1}),
+    ],
+)
+def test_dfa_states_must_be_ints(transitions, initial, accepting):
+    # written to the text format, a float or bool state is a token that
+    # parse_dfa refuses, and int() would drop a fraction silently
+    with pytest.raises(ValueError):
+        Dfa("ab", transitions, initial, accepting)
+
+
 def test_serialize_handles_empty_accepting_set():
     d = Dfa("ab", [(0, 0)], 0, set())
     text = serialize_dfa(d)

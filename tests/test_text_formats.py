@@ -14,15 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moqfa import (
+    Dfa,
     FormatError,
+    MeasureOnlyAutomaton,
+    PatternError,
     SubsequencePattern,
     format_automaton,
+    identity_observable,
     parse_automaton,
     parse_dfa,
     pattern_automaton,
     random_dfa,
     serialize_dfa,
 )
+from moqfa.cli import main
 
 import support
 
@@ -154,3 +159,50 @@ def test_non_printable_alphabet_symbols_are_refused_on_the_header_line():
         with pytest.raises(FormatError) as err:
             parse_automaton(text.replace("alphabet=ab", f"alphabet=a{symbol}", 1))
         assert err.value.line == 1
+
+
+# One alphabet rule: distinct symbols, each one printable character other
+# than space.  Every constructor and both parsers apply it, so whatever is
+# built can be written, and whatever is refused is refused everywhere.
+REFUSED = [" ", "\t", "\u200b", "\x00", "ab", 0]
+ACCEPTED = ["é", "#"]
+
+
+@pytest.mark.parametrize("symbol", REFUSED + ACCEPTED)
+def test_one_alphabet_rule_for_constructors_parsers_and_cli(symbol, capsys):
+    alphabet = ("a", symbol)
+    refused = symbol in REFUSED
+    observables = {s: identity_observable(1) for s in alphabet}
+    makers = [
+        (ValueError, lambda: Dfa(alphabet, [(0, 0)], 0, {0})),
+        (ValueError, lambda: MeasureOnlyAutomaton(alphabet, [1], observables, identity_observable(1), {"pass"})),
+        (PatternError, lambda: SubsequencePattern([symbol], alphabet)),
+    ]
+    if refused:
+        for error, make in makers:
+            with pytest.raises(error):
+                make()
+    else:
+        dfa, auto, pattern = (make() for _, make in makers)
+        assert parse_dfa(serialize_dfa(dfa)) == dfa
+        for acceptor in (auto, pattern_automaton(pattern)):
+            text = format_automaton(acceptor)
+            assert format_automaton(parse_automaton(text)) == text
+    if not isinstance(symbol, str):
+        return  # text and argv carry strings only
+    # "z" occurs in neither template except as the alphabet's one symbol
+    dfa_text = "states 1\nalphabet z\ninitial 0\naccepting 0\ntrans 0 z 0\n"
+    auto_text = format_automaton(pattern_automaton(SubsequencePattern("z", "z")))
+    for parse, template in ((parse_dfa, dfa_text), (parse_automaton, auto_text)):
+        text = template.replace("z", symbol)
+        if refused:
+            with pytest.raises(FormatError):
+                parse(text)
+        else:
+            assert parse(text).alphabet == (symbol,)
+    code = main(["synth", "--letters", symbol, "--alphabet", symbol])
+    out, err = capsys.readouterr()
+    if refused:
+        assert (code, out) == (1, "") and err.startswith("error: ")
+    else:
+        assert (code, err) == (0, "")
