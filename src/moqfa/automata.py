@@ -198,18 +198,19 @@ def _reachable_order(dfa: Dfa) -> list[int]:
     return order
 
 
-def _refine_partition(n, n_sym, trans, accepting) -> list[int]:
-    """Hopcroft partition refinement; returns each state's block index in the
-    coarsest stable partition."""
-    inv = [[[] for _ in range(n)] for _ in range(n_sym)]
-    for q in range(n):
-        row = trans[q]
-        for c in range(n_sym):
-            inv[c][row[c]].append(q)
-    acc = {q for q in range(n) if q in accepting}
-    non = set(range(n)) - acc
+def _refine_partition(dfa: Dfa, states: list[int]) -> list[int]:
+    """Hopcroft partition refinement of `states`, the reachable states, as the
+    input numbers them; block_of[q] is the index of q's block in the coarsest
+    stable partition (unused for states outside `states`)."""
+    n_sym = len(dfa.alphabet)
+    inv = [[[] for _ in range(dfa.state_count)] for _ in range(n_sym)]
+    for q in states:
+        for c, t in enumerate(dfa.transitions[q]):
+            inv[c][t].append(q)
+    acc = {q for q in states if q in dfa.accepting}
+    non = set(states) - acc
     blocks = [set(g) for g in (acc, non) if g]
-    block_of = [0] * n
+    block_of = [0] * dfa.state_count
     if len(blocks) < 2:
         return block_of
     for q in non:
@@ -253,23 +254,16 @@ def minimize(dfa: Dfa) -> Dfa:
     language minimize to structurally equal values.
     """
     order = _reachable_order(dfa)
-    compact = {q: i for i, q in enumerate(order)}
-    n = len(order)
-    n_sym = len(dfa.alphabet)
-    trans = [
-        tuple(compact[dfa.transitions[q][c]] for c in range(n_sym)) for q in order
-    ]
-    accepting = {compact[q] for q in dfa.accepting if q in compact}
-    block_of = _refine_partition(n, n_sym, trans, accepting)
-    # The compact states are in BFS discovery order, and the first state of
-    # each block is discovered from the first state of an earlier block, so
-    # numbering blocks by first appearance is the quotient's BFS numbering.
+    block_of = _refine_partition(dfa, order)
+    # `order` is the BFS discovery order, and the first state of each block
+    # is discovered from the first state of an earlier block, so numbering
+    # blocks by first appearance is the quotient's BFS numbering.
     first: dict[int, int] = {}  # block -> its first state, in appearance order
-    for q, b in enumerate(block_of):
-        first.setdefault(b, q)
+    for q in order:
+        first.setdefault(block_of[q], q)
     number = {b: i for i, b in enumerate(first)}
-    new_trans = [tuple(number[block_of[t]] for t in trans[q]) for q in first.values()]
-    new_acc = {number[b] for b, q in first.items() if q in accepting}
+    new_trans = [tuple(number[block_of[t]] for t in dfa.transitions[q]) for q in first.values()]
+    new_acc = {number[b] for b, q in first.items() if q in dfa.accepting}
     return Dfa(dfa.alphabet, new_trans, 0, new_acc)
 
 

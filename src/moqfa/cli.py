@@ -63,8 +63,8 @@ def _quoted_words(words) -> str:
 
 def _cmd_synth(args) -> int:
     pattern = _pattern_from_args(args)
-    auto = pattern_automaton(pattern)
     cutpoint, isolation = cutpoint_params(pattern)
+    auto = pattern_automaton(pattern)
     print(f"dim: {auto.dimension}")
     print(f"lambda: {_fmt(cutpoint)}")
     print(f"delta: {_fmt(isolation)}")

@@ -156,10 +156,9 @@ def verify_construction(
     diagonal states to diagonal states (checked exactly; otherwise
     ValueError), and two words that reach the same (pattern progress,
     diagonal state) pair have the same future.  So the words are walked one
-    length at a time as a count of the words reaching each distinct pair,
-    and only the pairs that fail are expanded back into their words, in
-    length-lexicographic order.  Raises ResourceLimitError when the words
-    would exceed `max_words`, counted as words, not pairs.
+    length at a time as the set of distinct pairs they reach, and only the
+    pairs that fail are spelled out as words, in length-lexicographic order.
+    Raises ResourceLimitError when `words_checked` would exceed `max_words`.
     """
     if max_len < 0:
         raise ValueError("maximum word length must be nonnegative")
@@ -176,7 +175,7 @@ def verify_construction(
     from .exact import check_pattern_acceptor
 
     cutpoint, isolation = cutpoint_params(pattern)
-    words_checked, misclassified, violations, min_margin = check_pattern_acceptor(
+    misclassified, violations, min_margin = check_pattern_acceptor(
         pattern, pattern_automaton(pattern), cutpoint, isolation, max_len
     )
     return VerificationReport(
@@ -184,7 +183,7 @@ def verify_construction(
         cutpoint=cutpoint,
         isolation=isolation,
         max_len=max_len,
-        words_checked=words_checked,
+        words_checked=total,
         misclassified=misclassified,
         isolation_violations=violations,
         min_margin=min_margin,

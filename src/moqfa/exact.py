@@ -3,8 +3,8 @@
 The pattern acceptor started on a basis state keeps its density matrix
 diagonal, with dyadic entries, and two words that reach the same pair
 (pattern progress, diagonal state) have the same future.  So every word up to
-a length can be checked by walking the distinct pairs of each length, each
-with the number of words that reach it, in exact rational arithmetic.
+a length can be checked by walking the set of distinct pairs of each length
+in exact rational arithmetic.
 `moqfa.decision.verify_construction` is the public entry point.
 """
 
@@ -17,6 +17,10 @@ from .automata import pattern_dfa
 from .patterns import SubsequencePattern
 from .quantum import MeasureOnlyAutomaton
 
+# channel images are read about this many entries at a time, so that the
+# memory of a walk grows as d^2, not d^3
+_BLOCK_ENTRIES = 1 << 20
+
 
 def check_pattern_acceptor(
     pattern: SubsequencePattern,
@@ -24,10 +28,9 @@ def check_pattern_acceptor(
     cutpoint: float,
     isolation: float,
     max_len: int,
-) -> tuple[int, tuple, tuple, float]:
-    """(words checked, misclassified words, isolation violations, minimum
-    margin) of `auto` on every word over the pattern's alphabet up to
-    `max_len`.
+) -> tuple[tuple, tuple, float]:
+    """(misclassified words, isolation violations, minimum margin) of `auto`
+    on every word over the pattern's alphabet up to `max_len`.
 
     A word is misclassified when (probability > cutpoint) disagrees with
     subsequence membership, and violates isolation when |probability -
@@ -40,11 +43,10 @@ def check_pattern_acceptor(
     lam, radius = Fraction(cutpoint), Fraction(isolation)
     verdicts = {}  # state -> (accepted, isolated, margin)
     misclassified, violations = [], []
-    level = {(0, walk.initial): 1}
-    words_checked = 0
+    level = {(0, walk.initial)}
     for length in range(max_len + 1):
         wrong, close = set(), set()
-        for pair, count in level.items():
+        for pair in level:
             progress, state = pair
             if state not in verdicts:
                 diff = walk.probability(state) - lam
@@ -54,17 +56,12 @@ def check_pattern_acceptor(
                 wrong.add(pair)
             if not isolated:
                 close.add(pair)
-            words_checked += count
         misclassified += walk.expand(length, wrong)
         violations += walk.expand(length, close)
         if length < max_len:
-            counts = {}
-            for pair, count in level.items():
-                for nxt in walk.successors(pair):
-                    counts[nxt] = counts.get(nxt, 0) + count
-            level = counts
+            level = {nxt for pair in level for nxt in walk.successors(pair)}
     min_margin = float(min(margin for _, _, margin in verdicts.values()))
-    return words_checked, tuple(misclassified), tuple(violations), min_margin
+    return tuple(misclassified), tuple(violations), min_margin
 
 
 class _PairWalk:
@@ -86,11 +83,16 @@ class _PairWalk:
         # Phi_a(E_rr) = sum_i P_i[:, r] P_i[r, :], entry (s, s) of which is
         # weights[r * d + s] / scale; column s of a step lists its nonzero (r, weight)
         d = auto.dimension
+        block = max(1, _BLOCK_ENTRIES // (d * d))
         self.steps = []
         for sym in self.alphabet:
-            images = sum(p.T[:, :, None] * p[:, None, :] for _, p in auto.observables[sym].outcomes)
-            _check_diagonal(images, f"the channel of {sym!r}")
-            diagonals = images.diagonal(axis1=1, axis2=2).real.ravel().tolist()
+            projectors = [p for _, p in auto.observables[sym].outcomes]
+            diagonals = []
+            for lo in range(0, d, block):
+                rows = slice(lo, lo + block)
+                images = sum(p.T[rows, :, None] * p[rows, None, :] for p in projectors)
+                _check_diagonal(images, f"the channel of {sym!r}")
+                diagonals += images.diagonal(axis1=1, axis2=2).real.ravel().tolist()
             weights, scale = _common_denominator(diagonals)
             columns = tuple(
                 tuple((r, weights[r * d + s]) for r in range(d) if weights[r * d + s])

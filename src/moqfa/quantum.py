@@ -39,11 +39,13 @@ def _frozen_matrix(entries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Observable:
-    """A finite family of labelled projectors meant to sum to the identity.
+    """A finite family of labelled projectors that sum to the identity.
 
-    The constructor only normalises its inputs; `validate_observable` checks
-    the actual projector-family laws (Hermitian, idempotent, pairwise
-    orthogonal, complete) so that malformed observables can be inspected.
+    The constructor normalises its inputs and refuses, with one ValueError
+    listing every violation found by `validate_observable`, any family that
+    breaks the projector-family laws (Hermitian, idempotent, pairwise
+    orthogonal, complete) or whose labels cannot be written to the text
+    format, so every observable that exists is valid.
     """
 
     dimension: int
@@ -52,15 +54,14 @@ class Observable:
     def __init__(self, dimension: int, outcomes: Iterable[tuple[str, object]]):
         if dimension < 1:
             raise ValueError("observable dimension must be positive")
-        normalised = []
-        for label, entries in outcomes:
-            if not isinstance(label, str):
-                raise TypeError("outcome labels must be strings")
-            normalised.append((label, _frozen_matrix(entries)))
+        normalised = tuple((label, _frozen_matrix(entries)) for label, entries in outcomes)
         if not normalised:
             raise ValueError("an observable needs at least one outcome")
         object.__setattr__(self, "dimension", int(dimension))
-        object.__setattr__(self, "outcomes", tuple(normalised))
+        object.__setattr__(self, "outcomes", normalised)
+        problems = validate_observable(self)
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.outcomes)
@@ -73,16 +74,24 @@ def identity_observable(dimension: int) -> Observable:
 def validate_observable(obs: Observable) -> list[str]:
     """Check the projector-family laws; return human-readable violations.
 
-    Structural problems (wrong shapes, non-finite entries, duplicate labels)
-    are prefixed "structural:"; numeric law violations are prefixed
-    "numeric:".  An empty list means the observable is valid at tolerance
-    `EPS`.
+    Structural problems (labels that are not a non-empty string without
+    whitespace, duplicate labels, wrong shapes, non-finite entries) are
+    prefixed "structural:"; numeric law violations at tolerance `EPS` are
+    prefixed "numeric:".  `Observable` runs this check when it is built, so
+    the list is empty for every observable that exists.
     """
     report: list[str] = []
     d = obs.dimension
     labels = obs.labels()
-    if len(set(labels)) != len(labels):
-        seen = sorted({l for l in labels if labels.count(l) > 1})
+    for label in labels:
+        # one token of the text format: what str.split() keeps whole
+        if not isinstance(label, str) or label.split() != [label]:
+            report.append(
+                f"structural: outcome label {label!r} is not a non-empty string without whitespace"
+            )
+    names = [label for label in labels if isinstance(label, str)]
+    if len(set(names)) != len(names):
+        seen = sorted({l for l in names if names.count(l) > 1})
         report.append(f"structural: duplicate outcome labels {seen}")
     usable = []
     for label, p in obs.outcomes:
@@ -159,9 +168,6 @@ def measure(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
         raise ValueError(
             f"dimension mismatch: state is {rho.dimension}, observable is {obs.dimension}"
         )
-    d = rho.dimension
-    if any(p.shape != (d, d) for _, p in obs.outcomes):
-        raise ValueError("observable has a projector of the wrong shape")
     return DensityMatrix(_channel((p for _, p in obs.outcomes), rho.matrix))
 
 
@@ -171,8 +177,8 @@ class MeasureOnlyAutomaton:
 
     Fields: an ordered alphabet, a unit initial row vector, one observable per
     alphabet symbol, the end-word observable, and the set of its outcome
-    labels that count as accepting.  Every observable must pass
-    `validate_observable`; evaluation trusts them from then on.
+    labels that count as accepting.  Observables check their own laws when
+    they are built, so evaluation trusts them.
     """
 
     alphabet: tuple[str, ...]
@@ -203,11 +209,6 @@ class MeasureOnlyAutomaton:
             raise ValueError(
                 f"accepting labels {sorted(unknown)} are not outcomes of the end-word observable"
             )
-        named = [(f"observable {sym!r}", observables[sym]) for sym in alphabet]
-        named.append(("end-observable", end_observable))
-        problems = [f"{name}: {p}" for name, obs in named for p in validate_observable(obs)]
-        if problems:
-            raise ValueError("; ".join(problems))
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "initial", init)
         object.__setattr__(self, "observables", observables)
@@ -327,11 +328,15 @@ def pattern_automaton(pattern: SubsequencePattern) -> MeasureOnlyAutomaton:
 def cutpoint_params(pattern: SubsequencePattern) -> tuple[float, float]:
     """Cut point and isolation radius of the pattern acceptor.
 
-    Returns (2^-(2k+1), 2^-(2k+2)) for a pattern of length k; both are exact
-    binary floating-point values for every desk-scale k.
+    Returns (2^-(2k+1), 2^-(2k+2)) for a pattern of length k, both exact
+    binary floating-point values.  From k = 537 the radius underflows to 0,
+    which would make every isolation check vacuous, so that raises ValueError.
     """
     k = len(pattern.letters)
-    return math.ldexp(1.0, -(2 * k + 1)), math.ldexp(1.0, -(2 * k + 2))
+    radius = math.ldexp(1.0, -(2 * k + 2))
+    if not radius > 0:
+        raise ValueError(f"isolation radius 2^-{2 * k + 2} of a {k}-letter pattern underflows")
+    return 2 * radius, radius
 
 
 @dataclass(frozen=True)
@@ -395,12 +400,6 @@ def _format_entry(z: complex) -> str:
     return f"{_format_real(z.real)},{_format_real(z.imag)}"
 
 
-def _check_token(kind: str, value: str) -> str:
-    if not value or any(ch.isspace() for ch in value):
-        raise ValueError(f"{kind} {value!r} cannot be written to the text format")
-    return value
-
-
 def format_automaton(auto: MeasureOnlyAutomaton) -> str:
     """Render the acceptor in the line-oriented text format.
 
@@ -414,7 +413,7 @@ def format_automaton(auto: MeasureOnlyAutomaton) -> str:
 
     def emit_outcomes(obs: Observable) -> None:
         for label, p in obs.outcomes:
-            lines.append(f"outcome {_check_token('label', label)}")
+            lines.append(f"outcome {label}")
             for row in np.asarray(p):
                 lines.append(" ".join(_format_entry(z) for z in row))
 
@@ -440,8 +439,9 @@ def _parse_entry(token: str, line: int) -> complex:
 def parse_automaton(text: str) -> MeasureOnlyAutomaton:
     """Parse the text format produced by `format_automaton`.
 
-    Syntax errors raise FormatError naming the line; semantic problems (norm,
-    missing observables, unknown accepting labels, projector-family laws)
+    Syntax errors and observables that break the projector-family laws raise
+    FormatError naming the line (an observable's section header); the other
+    semantic problems (norm, missing observables, unknown accepting labels)
     surface as ValueError from the automaton constructor.
     """
     rows = _TokenLines(text)
@@ -468,7 +468,7 @@ def parse_automaton(text: str) -> MeasureOnlyAutomaton:
         raise FormatError(f"expected {dim} initial entries, got {len(tokens) - 1}", line)
     initial = [_parse_entry(tok, line) for tok in tokens[1:]]
 
-    def parse_outcomes(context: str) -> list[tuple[str, list[list[complex]]]]:
+    def parse_observable(context: str, header_line: int) -> Observable:
         outcomes = []
         while True:
             row = rows.peek()
@@ -492,7 +492,10 @@ def parse_automaton(text: str) -> MeasureOnlyAutomaton:
             row = rows.peek()
             where = row[0] if row else rows.last_line
             raise FormatError(f"{context} has no outcomes", where)
-        return outcomes
+        try:
+            return Observable(dim, outcomes)
+        except ValueError as exc:
+            raise FormatError(f"{context}: {exc}", header_line) from None
 
     observables: dict[str, Observable] = {}
     while True:
@@ -507,12 +510,12 @@ def parse_automaton(text: str) -> MeasureOnlyAutomaton:
             raise FormatError(f"symbol {sym!r} is not in the declared alphabet", line)
         if sym in observables:
             raise FormatError(f"duplicate observable for symbol {sym!r}", line)
-        observables[sym] = Observable(dim, parse_outcomes(f"observable {sym!r}"))
+        observables[sym] = parse_observable(f"observable {sym!r}", line)
 
     line, tokens = rows.take("'end-observable'")
     if tokens != ["end-observable"]:
         raise FormatError("expected 'end-observable'", line)
-    end = Observable(dim, parse_outcomes("end-observable"))
+    end = parse_observable("end-observable", line)
 
     line, tokens = rows.take("'accepting:'")
     if tokens[0] != "accepting:":

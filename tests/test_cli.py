@@ -188,6 +188,15 @@ def test_verify_budget_refusal_for_a_huge_maxlen_is_exit_2(capsys):
     assert "budget" in err
 
 
+def test_synth_and_verify_refuse_a_pattern_whose_radius_underflows(capsys):
+    letters = ["a", "b"] * 268 + ["a"]  # k = 537: the radius 2^-1076 rounds to 0.0
+    for argv in (("synth",), ("verify", "--maxlen", "0")):
+        code, out, err = run(capsys, *argv, "--letters", *letters, "--alphabet", "ab")
+        assert code == 1
+        assert out == ""
+        assert "isolation radius 2^-1076" in err
+
+
 # ---------------------------------------------------------------------------
 # check
 

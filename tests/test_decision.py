@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moqfa
 from moqfa import (
     NOT_LI,
     NOT_PT,
@@ -326,6 +331,24 @@ def test_verify_counts_every_word_of_a_long_walk():
     report = verify_construction(SubsequencePattern("ab", "abc"), 12)
     assert report.ok
     assert report.words_checked == (3**13 - 1) // 2
+
+
+def test_verify_memory_does_not_grow_as_the_cube_of_the_dimension():
+    pytest.importorskip("resource")
+    # verified in a child interpreter under a 600 MB address-space cap; the
+    # channel images of one letter at d = 251, read all at once, would be a
+    # 251 x 251 x 251 complex array of 241 MiB, with temporaries of that size
+    script = (
+        "import resource, moqfa\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))\n"
+        "report = moqfa.verify_construction(moqfa.SubsequencePattern('ab' * 125, 'ab'), 2)\n"
+        "print(report.ok, report.words_checked, report.min_margin == 2.0**-501)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(moqfa.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert child.stdout.splitlines() == ["True 7 True"], child.stderr
 
 
 def _with_accepting(auto, accepting):

@@ -107,30 +107,38 @@ def test_validate_observable_accepts_single_identity():
 
 
 def test_validate_observable_flags_duplicated_projector():
-    obs = Observable(2, (("x", UP2), ("y", UP2)))
-    report = validate_observable(obs)
-    assert any("orthogonal" in entry for entry in report)
-    assert any("identity" in entry for entry in report)
+    with pytest.raises(ValueError) as err:
+        Observable(2, (("x", UP2), ("y", UP2)))
+    assert "orthogonal" in str(err.value)
+    assert "identity" in str(err.value)
 
 
 def test_validate_observable_reports_structural_issues_separately():
-    obs = Observable(2, (("ok", UP2), ("bad", np.eye(3))))
-    report = validate_observable(obs)
+    with pytest.raises(ValueError) as err:
+        Observable(2, (("ok", UP2), ("bad", np.eye(3))))
+    report = str(err.value).split("; ")
     assert any(entry.startswith("structural:") for entry in report)
     assert not any(entry.startswith("numeric:") for entry in report)
 
 
 def test_validate_observable_flags_duplicate_labels():
-    obs = Observable(2, (("x", UP2), ("x", DOWN2)))
-    assert any("duplicate" in entry for entry in validate_observable(obs))
+    with pytest.raises(ValueError, match="duplicate"):
+        Observable(2, (("x", UP2), ("x", DOWN2)))
 
 
 def test_validate_observable_flags_non_hermitian_and_non_idempotent():
     skew = np.array([[0.0, 1.0], [0.0, 0.0]])
-    report = validate_observable(Observable(2, (("x", skew), ("y", np.eye(2) - skew))))
-    assert any("Hermitian" in entry for entry in report)
-    scaled = Observable(2, (("x", 0.5 * np.eye(2)), ("y", 0.5 * np.eye(2))))
-    assert any("idempotent" in entry for entry in validate_observable(scaled))
+    with pytest.raises(ValueError, match="Hermitian"):
+        Observable(2, (("x", skew), ("y", np.eye(2) - skew)))
+    with pytest.raises(ValueError, match="idempotent"):
+        Observable(2, (("x", 0.5 * np.eye(2)), ("y", 0.5 * np.eye(2))))
+
+
+@pytest.mark.parametrize("label", ["", "a b", "\t", 0])
+def test_observable_refuses_labels_the_text_format_cannot_carry(label):
+    message = f"structural: outcome label {label!r} is not a non-empty string without whitespace"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Observable(2, ((label, UP2), ("down", DOWN2)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,21 +367,47 @@ def test_automaton_constructor_refuses_a_nan_initial_vector():
 
 
 def test_automaton_constructor_validates_every_observable():
-    good = pattern_automaton(pattern("a", "ab"))
+    # the laws are checked when an observable is built, so no acceptor can
+    # be handed a broken one
     half = 0.5 * np.eye(2)
-    observables = dict(good.observables, a=Observable(2, (("x", half), ("y", half))))
-    message = "observable 'a': numeric: projector 'x' is not idempotent"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        MeasureOnlyAutomaton("ab", good.initial, observables, good.end_observable, {"accept"})
-    end = Observable(2, (("accept", np.eye(2)), ("reject", np.eye(2))))
-    with pytest.raises(ValueError, match=re.escape("end-observable: numeric: projectors 'accept'")):
-        MeasureOnlyAutomaton("ab", good.initial, good.observables, end, {"accept"})
+    with pytest.raises(ValueError, match=re.escape("numeric: projector 'x' is not idempotent")):
+        Observable(2, (("x", half), ("y", half)))
+    with pytest.raises(ValueError, match=re.escape("numeric: projectors 'accept'")):
+        Observable(2, (("accept", np.eye(2)), ("reject", np.eye(2))))
+
+
+def test_parse_automaton_names_the_line_of_a_broken_observable():
+    text = format_automaton(pattern_automaton(pattern("a", "ab")))
+    lines = text.splitlines()
+    assert lines[2:4] == ["observable a", "outcome up"]
+    lines[4] = "0.5,0.0 0.0,0.0"  # 'up' is Hermitian no more, nor idempotent
+    with pytest.raises(FormatError) as err:
+        parse_automaton("\n".join(lines) + "\n")
+    assert err.value.line == 3
+    assert str(err.value).startswith(
+        "line 3: observable 'a': numeric: projector 'up' is not Hermitian; "
+    )
+    assert "projector 'up' is not idempotent" in str(err.value)
+    broken_end = text.replace("0.0,0.0 0.0,0.0\naccepting", "0.0,0.0 1.0,0.0\naccepting")
+    end_line = text.splitlines().index("end-observable") + 1
+    with pytest.raises(FormatError) as err:
+        parse_automaton(broken_end)
+    assert err.value.line == end_line
+    assert str(err.value).startswith(f"line {end_line}: end-observable: numeric: ")
 
 
 def test_cutpoint_params_are_exact():
     assert cutpoint_params(pattern("a", "ab")) == (0.125, 0.0625)
     assert cutpoint_params(pattern("ab", "ab")) == (0.03125, 0.015625)
     assert cutpoint_params(pattern("", "ab")) == (0.5, 0.25)
+
+
+def test_cutpoint_params_refuse_a_radius_that_underflows():
+    # 2^-1074 is the smallest positive float; at k = 537 the radius 2^-1076
+    # would round to 0 and make every isolation check vacuous
+    assert cutpoint_params(pattern("ab" * 268, "ab")) == (2.0**-1073, 2.0**-1074)
+    with pytest.raises(ValueError, match=re.escape("isolation radius 2^-1076")):
+        cutpoint_params(pattern("ab" * 268 + "a", "ab"))
 
 
 def test_recognizes_with_cutpoint_pass_and_fail():
