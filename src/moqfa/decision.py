@@ -158,10 +158,13 @@ def verify_construction(
     diagonal state) pair have the same future.  So the words are walked one
     length at a time as the set of distinct pairs they reach, and only the
     pairs that fail are spelled out as words, in length-lexicographic order.
-    Raises ResourceLimitError when `words_checked` would exceed `max_words`.
+    Raises ResourceLimitError when `words_checked` would exceed `max_words`,
+    and ValueError when `max_len` or `max_words` is negative.
     """
     if max_len < 0:
         raise ValueError("maximum word length must be nonnegative")
+    if max_words < 0:
+        raise ValueError("word budget must be nonnegative")
     size = len(pattern.alphabet)
     total = 0
     for length in range(max_len + 1):

@@ -12,19 +12,69 @@ every pattern letter, the identity observable for all other letters, and an
 end-word observable that accepts on the last coordinate.  That acceptor
 separates members from non-members of the pattern's shuffle ideal around the
 cut point 2^-(2k+1) with isolation radius 2^-(2k+2).
+
+numpy is bound lazily: importing this module executes none of numpy's code
+(unless numpy is already loaded), and numpy's `__init__` runs on the first
+array operation, so callers that never build a matrix never pay for it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+import sys
+import threading
+import types
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import FormatError, _check_alphabet, _TokenLines
 from .patterns import SubsequencePattern
+
+
+class _UnexecutedModule(types.ModuleType):
+    """A module in `sys.modules` whose code runs on its first attribute
+    access, which then makes it a plain module.  The lock makes other
+    threads wait for the finished module, while the loading thread, running
+    the module's own code, reads it as it is built.  (The standard
+    `importlib.util.LazyLoader` of Python 3.11 and 3.12.1 lets a second
+    thread read it half-built.)"""
+
+    _lock = threading.RLock()
+    _executing = False
+
+    def __getattribute__(self, name):
+        cls = _UnexecutedModule
+        with cls._lock:
+            if type(self) is cls and not cls._executing:
+                cls._executing = True
+                try:
+                    types.ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
+                    self.__class__ = types.ModuleType
+                finally:
+                    cls._executing = False
+        return types.ModuleType.__getattribute__(self, name)
+
+
+def _lazy_numpy():
+    """numpy itself when `sys.modules` holds it, otherwise an unexecuted
+    numpy registered there.  Every use of `np` below sits in a function body
+    or a string annotation, so importing this module runs no numpy code."""
+    if "numpy" in sys.modules:  # loaded, or blocked by None: import reports that
+        import numpy
+
+        return numpy
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    module = importlib.util.module_from_spec(spec)
+    module.__class__ = _UnexecutedModule
+    sys.modules["numpy"] = module
+    return module
+
+
+np = _lazy_numpy()
 
 EPS = 1e-9
 

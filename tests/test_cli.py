@@ -188,6 +188,16 @@ def test_verify_budget_refusal_for_a_huge_maxlen_is_exit_2(capsys):
     assert "budget" in err
 
 
+def test_verify_negative_budget_is_a_usage_error(capsys):
+    argv = ("verify", "--letters", "a", "b", "--alphabet", "ab", "--maxlen", "3", "--budget")
+    code, out, err = run(capsys, *argv, "-5")
+    assert (code, out) == (1, "")
+    assert "budget must be nonnegative" in err
+    code, _, err = run(capsys, *argv, "0")
+    assert code == 2
+    assert "exceeds the budget of 0" in err
+
+
 def test_synth_and_verify_refuse_a_pattern_whose_radius_underflows(capsys):
     letters = ["a", "b"] * 268 + ["a"]  # k = 537: the radius 2^-1076 rounds to 0.0
     for argv in (("synth",), ("verify", "--maxlen", "0")):

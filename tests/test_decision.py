@@ -285,6 +285,13 @@ def test_verify_budget_exceeded():
         verify_construction(SubsequencePattern("a", "ab"), 8, max_words=100)
 
 
+def test_verify_refuses_a_negative_budget():
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        verify_construction(SubsequencePattern("a", "ab"), 3, max_words=-5)
+    with pytest.raises(ResourceLimitError, match="budget of 0"):
+        verify_construction(SubsequencePattern("a", "ab"), 0, max_words=0)
+
+
 def test_verify_budget_refuses_long_words_at_once():
     # the word count up to length 10**6 has about 301,000 digits; the
     # refusal must come from the running sum, not from that total

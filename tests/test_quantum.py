@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moqfa
 from moqfa import (
     DensityMatrix,
     FormatError,
@@ -517,3 +522,89 @@ def test_parse_automaton_skips_comments_and_blank_lines():
         "observable a", "# interlude\nobservable a"
     )
     assert parse_automaton(text).alphabet == ("a", "b")
+
+
+# ---------------------------------------------------------------------------
+# numpy is executed on the first matrix operation, in a fresh interpreter
+
+
+def _child(argv, cwd=None):
+    env = dict(os.environ, PYTHONPATH=str(Path(moqfa.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
+    )
+
+
+def test_dfa_commands_never_execute_numpy(tmp_path):
+    # `numpy` itself may be present as the unexecuted stub; its __init__
+    # would load numpy.* submodules
+    (tmp_path / "contains_a.dfa").write_text(
+        "states 2\nalphabet a b\ninitial 0\naccepting 1\n"
+        "trans 0 a 1\ntrans 0 b 0\ntrans 1 a 1\ntrans 1 b 1\n"
+    )
+    script = (
+        "import sys\n"
+        "from moqfa.cli import main\n"
+        "runs = (['check'], ['monoid'], ['variation'], ['variation', '--word', 'ab'])\n"
+        "codes = [main([cmd, 'contains_a.dfa', *rest]) for cmd, *rest in runs]\n"
+        "print(codes, sorted(name for name in sys.modules if name.startswith('numpy.')))\n"
+    )
+    child = _child(["-c", script], cwd=tmp_path)
+    assert child.stdout.splitlines()[-1] == "[0, 0, 0, 0] []", child.stderr
+
+
+def test_numpy_imported_after_moqfa_is_the_module_moqfa_uses():
+    script = (
+        "import sys, moqfa, numpy\n"
+        "print(numpy.linalg.norm(numpy.ones(4)) == 2.0, moqfa.quantum.np is sys.modules['numpy'])\n"
+    )
+    child = _child(["-c", script])
+    assert child.stdout.splitlines() == ["True True"], child.stderr
+
+
+def test_threads_making_the_first_matrices_at_once_all_see_a_whole_numpy():
+    script = (
+        "import threading, moqfa\n"
+        "start, errors = threading.Barrier(8), []\n"
+        "def first_use():\n"
+        "    start.wait()\n"
+        "    try:\n"
+        "        auto = moqfa.pattern_automaton(moqfa.SubsequencePattern('ab', 'ab'))\n"
+        "        assert moqfa.acceptance_probability(auto, 'ab') == 0.25\n"
+        "    except Exception as exc:\n"
+        "        errors.append(repr(exc))\n"
+        "threads = [threading.Thread(target=first_use) for _ in range(8)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join(60)\n"
+        "print(sum(t.is_alive() for t in threads), errors)\n"
+    )
+    child = _child(["-c", script])
+    assert child.stdout.splitlines() == ["0 []"], child.stderr
+
+
+def test_prob_loads_numpy_on_first_use_in_a_fresh_process():
+    child = _child(["-m", "moqfa", "prob", "--letters", "a", "b", "--alphabet", "ab", "--word", "ab"])
+    assert (child.returncode, child.stdout) == (0, "0.250000000000\n"), child.stderr
+
+
+@pytest.mark.parametrize(
+    "hide, message",
+    [
+        ("sys.modules['numpy'] = None", "import of numpy halted; None in sys.modules"),
+        (
+            "sys.path[:] = [p for p in sys.path if not os.path.exists(os.path.join(p or '.', 'numpy'))]",
+            "No module named 'numpy'",
+        ),
+    ],
+    ids=["blocked", "not_installed"],
+)
+def test_import_without_numpy_raises_module_not_found_for_numpy(hide, message):
+    script = (
+        f"import os, sys\n{hide}\n"
+        "try:\n"
+        "    import moqfa\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name, exc)\n"
+    )
+    child = _child(["-c", script])
+    assert child.stdout.splitlines() == [f"numpy {message}"], child.stderr
