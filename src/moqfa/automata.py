@@ -4,6 +4,7 @@ literal idempotency, and variation analysis."""
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -89,7 +90,12 @@ def parse_dfa(text: str) -> Dfa:
     `states <n>`, `alphabet <sym>...`, `initial <q>`, `accepting [<q>...]`,
     then exactly n x |alphabet| lines `trans <from> <sym> <to>` in any order.
     `#` begins a comment line.  Violations raise FormatError naming the line.
+    Text in the exact form serialize_dfa writes is read in one bulk pass; any
+    other text, and every error, is left to the line loop below.
     """
+    dfa = _parse_writer_form(text)
+    if dfa is not None:
+        return dfa
     rows = _TokenLines(text)
 
     def parse_int(token: str, line: int, what: str) -> int:
@@ -165,6 +171,76 @@ def parse_dfa(text: str) -> Dfa:
     return Dfa(alphabet, [flat[q * k : q * k + k] for q in range(n)], initial, accepting)
 
 
+# The exact form serialize_dfa writes: fields separated by one space, every
+# line ended by "\n", no comment or blank line.  Numbers have at most 18
+# digits, so int() never meets its digit limit.  The patterns are compiled
+# on first use, through re's cache, so importing moqfa compiles none.
+_WRITER_HEADER = (
+    r"states ([0-9]{1,18})\nalphabet((?: \S)+)\ninitial ([0-9]{1,18})\naccepting([0-9 ]*)\n"
+)
+_WRITER_ACCEPTING = r" [0-9]{1,18}"
+_WRITER_TRANS = r"trans [0-9]{1,18} \S [0-9]{1,18}\n"
+
+
+def _tiled(pattern: str, text: str) -> int | None:
+    """The number of matches of `pattern` in `text` when they cover it with
+    no gap (their lengths add up to its length), else None."""
+    matches = re.findall(pattern, text)
+    return len(matches) if sum(map(len, matches)) == len(text) else None
+
+
+def _parse_writer_form(text: str) -> Dfa | None:
+    """parse_dfa's result for a text in the form serialize_dfa writes, with
+    the trans lines in any order, built column by column with no object per
+    line; None for any other text, which the line loop then reads.
+
+    Never raises: every error of the format is the line loop's to report.
+    """
+    header = re.match(_WRITER_HEADER, text)
+    if header is None:
+        return None
+    n = int(header[1])
+    initial = int(header[3])
+    try:
+        alphabet = _check_alphabet(header[2].split())
+    except ValueError:
+        return None
+    if _tiled(_WRITER_ACCEPTING, header[4]) is None:
+        return None
+    accepting = set(map(int, header[4].split()))
+    if not 0 <= initial < n or any(q >= n for q in accepting):
+        return None
+    table = _writer_table(text[header.end() :], n, alphabet)
+    if table is None:
+        return None
+    # consecutive runs of k successors are the rows, as tuples
+    return Dfa(alphabet, zip(*[iter(table)] * len(alphabet)), initial, accepting)
+
+
+def _writer_table(body: str, n: int, alphabet: tuple[str, ...]) -> list[int] | None:
+    """The successors of the trans lines `body`, in state-major order, or None
+    unless they are exactly the n x |alphabet| lines of a total DFA.  A
+    function of its own so that the column lists are freed before the rows
+    are built: the collector's passes during that build would scan them."""
+    k = len(alphabet)
+    # n * k distinct (state, symbol) keys below n * k cover every key, so the
+    # count is checked before the table is sized from the header, and a
+    # duplicate line always leaves a gap
+    if _tiled(_WRITER_TRANS, body) != n * k:
+        return None
+    fields = body.split()
+    sources = list(map(int, fields[1::4]))
+    symbols = fields[2::4]
+    targets = list(map(int, fields[3::4]))
+    index = {s: i for i, s in enumerate(alphabet)}
+    if max(sources) >= n or max(targets) >= n or not index.keys() >= set(symbols):
+        return None
+    table = [-1] * (n * k)
+    for src, c, dst in zip(sources, map(index.__getitem__, symbols), targets):
+        table[src * k + c] = dst
+    return None if -1 in table else table
+
+
 def serialize_dfa(dfa: Dfa) -> str:
     """Render a DFA in the text format (canonical line order)."""
     if not dfa.alphabet:
@@ -203,7 +279,9 @@ def _refine_partition(dfa: Dfa, states: list[int]) -> list[int]:
     input numbers them; block_of[q] is the index of q's block in the coarsest
     stable partition (unused for states outside `states`)."""
     n_sym = len(dfa.alphabet)
-    inv = [[[] for _ in range(dfa.state_count)] for _ in range(n_sym)]
+    # every successor of a reachable state is reachable, so the inverse
+    # tables need rows for `states` only
+    inv = [{q: [] for q in states} for _ in range(n_sym)]
     for q in states:
         for c, t in enumerate(dfa.transitions[q]):
             inv[c][t].append(q)

@@ -27,6 +27,7 @@ from moqfa import (
     random_dfa,
     serialize_dfa,
 )
+from moqfa import automata
 from moqfa.cli import main
 
 import support
@@ -206,3 +207,82 @@ def test_one_alphabet_rule_for_constructors_parsers_and_cli(symbol, capsys):
         assert (code, out) == (1, "") and err.startswith("error: ")
     else:
         assert (code, err) == (0, "")
+
+
+# ---------------------------------------------------------------------------
+# parse_dfa reads the form serialize_dfa writes in one bulk pass and every
+# other text with its line loop; the two must agree wherever the bulk pass
+# answers, and the writer's own output must never need the line loop.
+
+WRITER_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["swap", "pad", "digit", "copy", "cut", "symbol", "states", "initial", "accepting", "huge"]),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+    ),
+    max_size=3,
+)
+
+
+def writer_edit(text: str, edits) -> str:
+    """`text` with edits that keep the writer's form: swapped or copied
+    trans lines, a zero prepended or a digit appended to a number, an
+    unknown symbol, another state count, initial state or accepting state,
+    or a header of 10**12 states; or else a cut-off copy of a trans line
+    added, so that the line count stays n x |alphabet| with a gap."""
+    head, trans = text.split("\n")[:4], text.split("\n")[4:-1]
+    cuts = []  # added last, so that every other edit meets whole lines
+    for kind, i, j in edits:
+        a, b = i % len(trans), j % len(trans)
+        fields = trans[a].split(" ")
+        if kind == "swap":
+            trans[a], trans[b] = trans[b], trans[a]
+        elif kind == "copy":
+            trans[a] = trans[b]
+        elif kind in ("pad", "digit"):
+            f = (1, 3)[j % 2]
+            fields[f] = "0" + fields[f] if kind == "pad" else fields[f] + str(j % 10)
+            trans[a] = " ".join(fields)
+        elif kind == "cut":
+            cuts.append((a, trans[b].rsplit(" ", 1)[0]))
+        elif kind == "symbol":
+            fields[2] = "z"
+            trans[a] = " ".join(fields)
+        elif kind == "states":
+            head[0] = f"states {int(head[0].split()[1]) + j % 5 - 2}"
+        elif kind == "initial":
+            head[2] += str(j % 10)
+        elif kind == "accepting":
+            head[3] += f" {j % 8}"
+        else:
+            head[0] = "states 1000000000000"
+    for a, line in cuts:
+        trans.insert(a, line)
+    return "\n".join(head + trans + [""])
+
+
+def line_loop(text: str):
+    """parse_dfa's answer, or its ValueError, with the bulk pass switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(automata, "_parse_writer_form", lambda text: None)
+        return parse_or_error(parse_dfa, text)
+
+
+@given(seed=st.integers(0, 10**4), alphabet=st.sampled_from(["a", "ab", "abc", "#\u00e9"]), edits=WRITER_EDITS)
+@settings(max_examples=400, deadline=None)
+def test_bulk_pass_agrees_with_the_line_loop(seed, alphabet, edits):
+    text = writer_edit(serialize_dfa(random_dfa(seed, seed % 6 + 1, alphabet)), edits)
+    bulk = automata._parse_writer_form(text)
+    assert bulk is None or bulk == line_loop(text)
+
+
+def test_the_writers_output_takes_the_bulk_pass(monkeypatch):
+    def refuse(text):
+        raise AssertionError("the line loop read a text in the writer's form")
+
+    monkeypatch.setattr(automata, "_TokenLines", refuse)
+    dfas = list(support.random_corpus())
+    dfas += [random_dfa(seed, 5, alphabet) for seed in range(20) for alphabet in ("#", "\u00e9", "a", "#\u00e9b")]
+    dfas.append(Dfa("ab", [(0, 1), (1, 0)], 1, set()))
+    for dfa in dfas:
+        assert parse_dfa(serialize_dfa(dfa)) == dfa
