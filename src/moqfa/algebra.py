@@ -17,6 +17,7 @@ from .errors import ResourceLimitError
 Transformation = tuple[int, ...]
 
 DEFAULT_ELEMENT_CAP = 1_000_000
+_ENTRY_BUDGET = 2**26  # states in all elements together: about 512 MB of tuple slots
 
 
 def compose(first: Transformation, then: Transformation) -> Transformation:
@@ -57,9 +58,11 @@ def transition_monoid(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> 
     """Close the letter transformations under composition.
 
     For a minimal DFA this is the syntactic monoid of the language.  Raises
-    ResourceLimitError when more than `max_elements` elements appear.
+    ResourceLimitError when more than `max_elements` elements appear, or more
+    than _ENTRY_BUDGET // state_count, whichever is fewer.
     """
     n = min_dfa.state_count
+    limit = min(max_elements, _ENTRY_BUDGET // n)
     identity = tuple(range(n))
     generators = {
         sym: tuple(min_dfa.transitions[q][c] for q in range(n))
@@ -73,10 +76,8 @@ def transition_monoid(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> 
         for sym, generator in generators.items():
             successor = compose(current, generator)
             if successor not in index:
-                if len(elements) >= max_elements:
-                    raise ResourceLimitError(
-                        f"transition monoid exceeds {max_elements} elements"
-                    )
+                if len(elements) >= limit:
+                    raise ResourceLimitError(f"transition monoid exceeds {limit} elements")
                 index[successor] = len(elements)
                 elements.append(successor)
                 witness[successor] = witness[current] + (sym,)

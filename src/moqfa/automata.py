@@ -176,17 +176,10 @@ def parse_dfa(text: str) -> Dfa:
 # digits, so int() never meets its digit limit.  The patterns are compiled
 # on first use, through re's cache, so importing moqfa compiles none.
 _WRITER_HEADER = (
-    r"states ([0-9]{1,18})\nalphabet((?: \S)+)\ninitial ([0-9]{1,18})\naccepting([0-9 ]*)\n"
+    r"states ([0-9]{1,18})\nalphabet((?: \S)+)\ninitial ([0-9]{1,18})\n"
+    r"accepting((?: [0-9]{1,18})*)\n"
 )
-_WRITER_ACCEPTING = r" [0-9]{1,18}"
-_WRITER_TRANS = r"trans [0-9]{1,18} \S [0-9]{1,18}\n"
-
-
-def _tiled(pattern: str, text: str) -> int | None:
-    """The number of matches of `pattern` in `text` when they cover it with
-    no gap (their lengths add up to its length), else None."""
-    matches = re.findall(pattern, text)
-    return len(matches) if sum(map(len, matches)) == len(text) else None
+_WRITER_TRANS = r"(?:trans [0-9]{1,18} \S [0-9]{1,18}\n)*"
 
 
 def _parse_writer_form(text: str) -> Dfa | None:
@@ -195,50 +188,44 @@ def _parse_writer_form(text: str) -> Dfa | None:
     line; None for any other text, which the line loop then reads.
 
     Never raises: every error of the format is the line loop's to report.
+    Dfa checks the alphabet, the initial, accepting and target states and gaps.
     """
     header = re.match(_WRITER_HEADER, text)
     if header is None:
         return None
-    n = int(header[1])
-    initial = int(header[3])
-    try:
-        alphabet = _check_alphabet(header[2].split())
-    except ValueError:
-        return None
-    if _tiled(_WRITER_ACCEPTING, header[4]) is None:
-        return None
-    accepting = set(map(int, header[4].split()))
-    if not 0 <= initial < n or any(q >= n for q in accepting):
-        return None
-    table = _writer_table(text[header.end() :], n, alphabet)
+    alphabet = header[2].split()
+    table = _writer_table(text[header.end() :], int(header[1]), alphabet)
     if table is None:
         return None
     # consecutive runs of k successors are the rows, as tuples
-    return Dfa(alphabet, zip(*[iter(table)] * len(alphabet)), initial, accepting)
+    rows = zip(*[iter(table)] * len(alphabet))
+    try:
+        return Dfa(alphabet, rows, int(header[3]), map(int, header[4].split()))
+    except ValueError:  # the alphabet rule, a state out of range or a gap
+        return None
 
 
-def _writer_table(body: str, n: int, alphabet: tuple[str, ...]) -> list[int] | None:
-    """The successors of the trans lines `body`, in state-major order, or None
-    unless they are exactly the n x |alphabet| lines of a total DFA.  A
-    function of its own so that the column lists are freed before the rows
-    are built: the collector's passes during that build would scan them."""
+def _writer_table(body: str, n: int, alphabet: list[str]) -> list[int] | None:
+    """The successors of the n x |alphabet| trans lines `body` in state-major
+    order, -1 in the gaps; None for other lines, a source >= n or an unknown
+    symbol.  A function of its own so that the column lists are freed before
+    the rows are built, since the collector's passes during that build would
+    scan them."""
     k = len(alphabet)
-    # n * k distinct (state, symbol) keys below n * k cover every key, so the
-    # count is checked before the table is sized from the header, and a
-    # duplicate line always leaves a gap
-    if _tiled(_WRITER_TRANS, body) != n * k:
+    # the count is checked before the table is sized from the header; with
+    # n * k lines, a duplicate always leaves a gap
+    if body.count("\n") != n * k or re.fullmatch(_WRITER_TRANS, body) is None:
         return None
     fields = body.split()
-    sources = list(map(int, fields[1::4]))
-    symbols = fields[2::4]
-    targets = list(map(int, fields[3::4]))
     index = {s: i for i, s in enumerate(alphabet)}
-    if max(sources) >= n or max(targets) >= n or not index.keys() >= set(symbols):
-        return None
     table = [-1] * (n * k)
-    for src, c, dst in zip(sources, map(index.__getitem__, symbols), targets):
-        table[src * k + c] = dst
-    return None if -1 in table else table
+    columns = map(int, fields[1::4]), map(index.__getitem__, fields[2::4]), map(int, fields[3::4])
+    try:
+        for src, c, dst in zip(*columns):
+            table[src * k + c] = dst
+    except (IndexError, KeyError):  # a source >= n, or an unknown symbol
+        return None
+    return table
 
 
 def serialize_dfa(dfa: Dfa) -> str:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .algebra import green_report
 from .automata import minimize, parse_dfa, sup_variation, variation
-from .decision import diagnose, verify_construction
+from .decision import DEFAULT_WORD_BUDGET, diagnose, verify_construction
 from .errors import ResourceLimitError
 from .patterns import SubsequencePattern
 from .quantum import (
@@ -166,7 +166,7 @@ def build_parser() -> _Parser:
     verify.add_argument("--letters", nargs="*", required=True, metavar="LETTER")
     verify.add_argument("--alphabet", required=True)
     verify.add_argument("--maxlen", type=int, required=True)
-    verify.add_argument("--budget", type=int, default=2_000_000)
+    verify.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET)
     verify.set_defaults(func=_cmd_verify)
 
     check = sub.add_parser("check", help="membership pipeline on a DFA file")

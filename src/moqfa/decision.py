@@ -23,6 +23,8 @@ from .patterns import SubsequencePattern
 # workload of perfbench/workloads.py traces `decision.measure` by that name.
 from .quantum import cutpoint_params, measure, pattern_automaton
 
+DEFAULT_WORD_BUDGET = 2_000_000
+
 NOT_LI = "NOT_LI"
 NOT_PT = "NOT_PT"
 
@@ -144,7 +146,7 @@ class VerificationReport:
 def verify_construction(
     pattern: SubsequencePattern,
     max_len: int,
-    max_words: int = 2_000_000,
+    max_words: int = DEFAULT_WORD_BUDGET,
 ) -> VerificationReport:
     """Check the pattern acceptor on every word up to `max_len`, exactly.
 
@@ -220,8 +222,6 @@ def random_partially_ordered_dfa(seed: int, n_states: int, alphabet) -> Dfa:
 
 def _seeded_dfa(seed: int, n_states: int, alphabet, forward_only: bool) -> Dfa:
     # randrange(0, n) and randrange(n) draw the same value from the same state
-    if n_states < 1:
-        raise ValueError("need at least one state")
     rng = random.Random(seed)
     rows = tuple(
         tuple(rng.randrange(q if forward_only else 0, n_states) for _ in alphabet)

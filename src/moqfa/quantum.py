@@ -240,7 +240,7 @@ class MeasureOnlyAutomaton:
     def __init__(self, alphabet, initial, observables, end_observable, accepting):
         alphabet = _check_alphabet(alphabet)
         init = _frozen_matrix(initial).reshape(-1)
-        init.setflags(write=False)
+        init.setflags(write=False)  # reshape copies an array not in C order
         norm = math.sqrt(float(np.sum(np.abs(init) ** 2)))
         if not abs(norm - 1.0) <= EPS:  # also refuses NaN
             raise ValueError(f"initial vector norm is {norm:.12g}, not 1")

@@ -18,8 +18,11 @@ from moqfa import (
     letters_idempotent,
     minimize,
     random_dfa,
+    serialize_dfa,
     transition_monoid,
 )
+from moqfa import algebra
+from moqfa.cli import main
 
 import oracles
 import support
@@ -134,6 +137,24 @@ def test_element_cap_raises_resource_error():
     d = random_dfa(3, 5, "abc")
     with pytest.raises(ResourceLimitError):
         transition_monoid(d, max_elements=3)
+
+
+def test_entry_budget_bounds_the_elements_of_many_state_monoids(monkeypatch, tmp_path, capsys):
+    # each element is a tuple of `degree` states, so the budget of state
+    # entries caps the element count at budget // degree
+    d = minimize(random_dfa(3, 5, "abc"))
+    full = transition_monoid(d)
+    entries = len(full) * full.degree
+    monkeypatch.setattr(algebra, "_ENTRY_BUDGET", entries)
+    assert transition_monoid(d).elements == full.elements
+    monkeypatch.setattr(algebra, "_ENTRY_BUDGET", entries - 1)
+    with pytest.raises(ResourceLimitError, match=f"exceeds {len(full) - 1} elements"):
+        transition_monoid(d)
+    path = tmp_path / "d.dfa"
+    path.write_text(serialize_dfa(d))
+    assert main(["monoid", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: transition monoid exceeds {len(full) - 1} elements\n")
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 4), alphabet=st.sampled_from(["ab", "abc"]))

@@ -371,6 +371,15 @@ def test_automaton_constructor_refuses_a_nan_initial_vector():
         parse_automaton(text)
 
 
+def test_automaton_initial_vector_is_read_only_whatever_the_input_order():
+    # reshape(-1) copies an array that is not in C order, and the copy is
+    # writable unless the constructor freezes it too
+    identity = identity_observable(4)
+    for entries in ([0.5, 0.5, 0.5, 0.5], np.asfortranarray(np.full((2, 2), 0.5))):
+        acceptor = MeasureOnlyAutomaton("a", entries, {"a": identity}, identity, set())
+        assert not acceptor.initial.flags.writeable
+
+
 def test_automaton_constructor_validates_every_observable():
     # the laws are checked when an observable is built, so no acceptor can
     # be handed a broken one

@@ -10,7 +10,7 @@ a second format/parse round trip.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moqfa import (
@@ -216,7 +216,9 @@ def test_one_alphabet_rule_for_constructors_parsers_and_cli(symbol, capsys):
 
 WRITER_EDITS = st.lists(
     st.tuples(
-        st.sampled_from(["swap", "pad", "digit", "copy", "cut", "symbol", "states", "initial", "accepting", "huge"]),
+        st.sampled_from(
+            ["swap", "pad", "digit", "copy", "cut", "symbol", "alphabet", "states", "initial", "accepting", "huge"]
+        ),
         st.integers(0, 10**6),
         st.integers(0, 10**6),
     ),
@@ -227,9 +229,10 @@ WRITER_EDITS = st.lists(
 def writer_edit(text: str, edits) -> str:
     """`text` with edits that keep the writer's form: swapped or copied
     trans lines, a zero prepended or a digit appended to a number, an
-    unknown symbol, another state count, initial state or accepting state,
-    or a header of 10**12 states; or else a cut-off copy of a trans line
-    added, so that the line count stays n x |alphabet| with a gap."""
+    unknown symbol, an alphabet symbol repeated in place of another (also
+    in the trans lines), another state count, initial state or accepting
+    state, or a header of 10**12 states; or else a cut-off copy of a trans
+    line added, so that the line count stays n x |alphabet| with a gap."""
     head, trans = text.split("\n")[:4], text.split("\n")[4:-1]
     cuts = []  # added last, so that every other edit meets whole lines
     for kind, i, j in edits:
@@ -248,6 +251,15 @@ def writer_edit(text: str, edits) -> str:
         elif kind == "symbol":
             fields[2] = "z"
             trans[a] = " ".join(fields)
+        elif kind == "alphabet":
+            symbols = head[1].split(" ")[1:]
+            gone, kept = symbols[i % len(symbols)], symbols[j % len(symbols)]
+            rename = {gone: kept}
+            head[1] = " ".join(["alphabet"] + [rename.get(sym, sym) for sym in symbols])
+            for b, line in enumerate(trans):
+                fields = line.split(" ")
+                fields[2] = rename.get(fields[2], fields[2])
+                trans[b] = " ".join(fields)
         elif kind == "states":
             head[0] = f"states {int(head[0].split()[1]) + j % 5 - 2}"
         elif kind == "initial":
@@ -268,12 +280,41 @@ def line_loop(text: str):
         return parse_or_error(parse_dfa, text)
 
 
+# one example for each fault that Dfa or the bulk pass's except clauses
+# catch; seed 3 draws 4 states, seed 0 one state
 @given(seed=st.integers(0, 10**4), alphabet=st.sampled_from(["a", "ab", "abc", "#\u00e9"]), edits=WRITER_EDITS)
+@example(seed=3, alphabet="ab", edits=[("copy", 0, 1)])  # a duplicate line leaves a gap
+@example(seed=3, alphabet="ab", edits=[("digit", 7, 8)])  # source 38
+@example(seed=3, alphabet="ab", edits=[("digit", 0, 9)])  # a target ending in 9
+@example(seed=3, alphabet="ab", edits=[("initial", 0, 9)])  # initial 09
+@example(seed=3, alphabet="ab", edits=[("accepting", 0, 7)])  # accepting ... 7
+@example(seed=3, alphabet="ab", edits=[("symbol", 0, 0)])  # symbol z
+@example(seed=3, alphabet="ab", edits=[("alphabet", 0, 1)])  # alphabet b b
+@example(seed=0, alphabet="ab", edits=[("states", 0, 1)])  # states 0
 @settings(max_examples=400, deadline=None)
 def test_bulk_pass_agrees_with_the_line_loop(seed, alphabet, edits):
     text = writer_edit(serialize_dfa(random_dfa(seed, seed % 6 + 1, alphabet)), edits)
     bulk = automata._parse_writer_form(text)
     assert bulk is None or bulk == line_loop(text)
+
+
+HEADER = "states 1\nalphabet a\ninitial 0\naccepting\n"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # no trans line, so only Dfa's own check refuses it in the bulk pass
+        ("states 0\nalphabet a\ninitial 0\naccepting\n", "line 1: state count must be positive"),
+        # n x |alphabet| lines, but not all in the writer's form
+        (HEADER + "trans 0 a 0 0\n", "line 5: expected 'trans <from> <sym> <to>'"),
+        (HEADER + "xxxxx 0 a 0\n", "line 5: expected 'trans <from> <sym> <to>'"),
+        (HEADER + "# 0 a 0\n", "line 5: missing transition for state 0 on 'a'"),
+    ],
+)
+def test_texts_the_bulk_pass_leaves_to_the_line_loop(text, error):
+    assert automata._parse_writer_form(text) is None
+    assert str(line_loop(text)) == error
 
 
 def test_the_writers_output_takes_the_bulk_pass(monkeypatch):
