@@ -9,7 +9,7 @@ order, so element order and shortest witnesses are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from operator import itemgetter
 
 from .automata import Dfa
 from .errors import ResourceLimitError
@@ -20,9 +20,14 @@ DEFAULT_ELEMENT_CAP = 1_000_000
 _ENTRY_BUDGET = 2**26  # states in all elements together: about 512 MB of tuple slots
 
 
+def _after(first: Transformation):
+    """then -> compose(first, then), in C from two states on (itemgetter(q) gives an int)."""
+    return itemgetter(*first) if len(first) > 1 else lambda then: tuple(then[q] for q in first)
+
+
 def compose(first: Transformation, then: Transformation) -> Transformation:
     """Transformation of the word uv from those of u and v (left-to-right)."""
-    return tuple(then[q] for q in first)
+    return _after(first)(then)
 
 
 class FiniteMonoid:
@@ -30,7 +35,9 @@ class FiniteMonoid:
 
     elements[0] is the identity; index is the position of each element;
     generator_map sends each alphabet symbol to its transformation;
-    shortest_witness records the length-lex-first word reaching each element.
+    shortest_witness records the length-lex-first word reaching each element;
+    right, the right Cayley graph, is flat: right[i*k + c] is the index of
+    elements[i] times the c-th of the k generators, in generator_map order.
     """
 
     def __init__(
@@ -40,18 +47,20 @@ class FiniteMonoid:
         generator_map: dict[str, Transformation],
         shortest_witness: dict[Transformation, tuple[str, ...]],
         index: dict[Transformation, int],
+        right: list[int],
     ):
         self.degree = degree
         self.elements = elements
         self.generator_map = generator_map
         self.shortest_witness = shortest_witness
         self.index = index
+        self.right = right
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def idempotents(self) -> list[Transformation]:
-        return [t for t in self.elements if compose(t, t) == t]
+        return [t for t in self.elements if _after(t)(t) == t]
 
 
 def transition_monoid(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> FiniteMonoid:
@@ -64,37 +73,38 @@ def transition_monoid(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> 
     n = min_dfa.state_count
     limit = min(max_elements, _ENTRY_BUDGET // n)
     identity = tuple(range(n))
-    generators = {
-        sym: tuple(min_dfa.transitions[q][c] for q in range(n))
-        for c, sym in enumerate(min_dfa.alphabet)
-    }
+    generators = dict(zip(min_dfa.alphabet, zip(*min_dfa.transitions)))
     elements = [identity]
     index = {identity: 0}
     witness = {identity: ()}
+    right: list[int] = []
     # elements grows while it is read, in BFS order: it is its own queue
     for current in elements:
+        after = _after(current)
         for sym, generator in generators.items():
-            successor = compose(current, generator)
-            if successor not in index:
-                if len(elements) >= limit:
+            successor = after(generator)
+            j = index.get(successor)
+            if j is None:
+                j = len(elements)
+                if j >= limit:
                     raise ResourceLimitError(f"transition monoid exceeds {limit} elements")
-                index[successor] = len(elements)
+                index[successor] = j
                 elements.append(successor)
                 witness[successor] = witness[current] + (sym,)
-    return FiniteMonoid(n, tuple(elements), generators, witness, index)
+            right.append(j)
+    return FiniteMonoid(n, tuple(elements), generators, witness, index, right)
 
 
 # ---------------------------------------------------------------------------
 # Green's relations via Cayley-graph strongly connected components
 
 
-def _strongly_connected_components(
-    count: int, successors: Callable[[int], Iterable[int]]
-) -> list[list[int]]:
-    """Iterative Tarjan over an implicitly given graph."""
+def _strongly_connected_components(count: int, table: list[int], k: int) -> list[list[int]]:
+    """Iterative Tarjan; node i's successors are table[i*k : i*k+k].  A node in
+    a completed component gets order `count`, so it lowers no low value."""
     order = [-1] * count
     low = [0] * count
-    on_stack = [False] * count
+    depth = [0] * count  # each node's position on `stack`, empty at each root
     stack: list[int] = []
     components: list[list[int]] = []
     counter = 0
@@ -104,58 +114,47 @@ def _strongly_connected_components(
         order[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(successors(root)))]
+        work = [(root, root * k)]  # (node, table position of its next successor)
         while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if order[nxt] == -1:
+            node, pos = work[-1]
+            end = node * k + k
+            while pos < end:
+                nxt = table[pos]
+                pos += 1
+                seen = order[nxt]
+                if seen == -1:
+                    work[-1] = (node, pos)
                     order[nxt] = low[nxt] = counter
                     counter += 1
+                    depth[nxt] = len(stack)
                     stack.append(nxt)
-                    on_stack[nxt] = True
-                    work.append((nxt, iter(successors(nxt))))
-                    advanced = True
+                    work.append((nxt, nxt * k))
                     break
-                if on_stack[nxt] and order[nxt] < low[node]:
-                    low[node] = order[nxt]
-            if advanced:
-                continue
-            work.pop()
-            if work and low[node] < low[work[-1][0]]:
-                low[work[-1][0]] = low[node]
-            if low[node] == order[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
+                if seen < low[node]:
+                    low[node] = seen
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == order[node]:
+                    component = stack[depth[node] :]
+                    del stack[depth[node] :]
+                    for member in component:
+                        order[member] = count
+                    components.append(component)
     return components
 
 
 def _green_classes(monoid: FiniteMonoid, side: str) -> list[list[int]]:
-    """R-classes (side "R": x ~ xg) or L-classes (side "L": x ~ gx), as lists
-    of element indices: the strong components of the right or left Cayley
-    graph over the generators."""
-    gens = [monoid.generator_map[s] for s in sorted(monoid.generator_map)]
-    index = monoid.index
-    elements = monoid.elements
-
-    def right(i: int) -> list[int]:
-        return [index[compose(elements[i], g)] for g in gens]
-
-    def left(i: int) -> list[int]:
-        return [index[compose(g, elements[i])] for g in gens]
-
-    return _strongly_connected_components(len(elements), right if side == "R" else left)
-
-
-def _trivial(classes: list[list[int]]) -> bool:
-    return all(len(c) == 1 for c in classes)
+    """R-classes (side "R": x ~ xg) or L-classes (side "L": x ~ gx), as lists of
+    element indices: strong components of the right Cayley graph the closure
+    recorded, or of the left one, built here with one getter per generator."""
+    k, table = len(monoid.generator_map), monoid.right
+    if side == "L":
+        table = [0] * len(table)
+        for c, g in enumerate(monoid.generator_map.values()):
+            table[c::k] = map(monoid.index.__getitem__, map(_after(g), monoid.elements))
+    return _strongly_connected_components(len(monoid), table, k)
 
 
 def _one_idempotent_each(classes: list[list[int]], idempotent: list[bool]) -> bool:
@@ -164,12 +163,12 @@ def _one_idempotent_each(classes: list[list[int]], idempotent: list[bool]) -> bo
 
 def is_r_trivial(monoid: FiniteMonoid) -> bool:
     """True iff distinct elements generate distinct right ideals (xM)."""
-    return _trivial(_green_classes(monoid, "R"))
+    return len(_green_classes(monoid, "R")) == len(monoid)
 
 
 def is_l_trivial(monoid: FiniteMonoid) -> bool:
     """True iff distinct elements generate distinct left ideals (Mx)."""
-    return _trivial(_green_classes(monoid, "L"))
+    return len(_green_classes(monoid, "L")) == len(monoid)
 
 
 def is_j_trivial(monoid: FiniteMonoid) -> bool:
@@ -183,14 +182,14 @@ def is_j_trivial(monoid: FiniteMonoid) -> bool:
 
 def is_block_group(monoid: FiniteMonoid) -> bool:
     """True iff every R-class and every L-class holds at most one idempotent."""
-    idempotent = [compose(t, t) == t for t in monoid.elements]
+    idempotent = [_after(t)(t) == t for t in monoid.elements]
     classes = _green_classes(monoid, "R") + _green_classes(monoid, "L")
     return _one_idempotent_each(classes, idempotent)
 
 
 def letters_idempotent(monoid: FiniteMonoid) -> bool:
     """True iff every letter's transformation squares to itself."""
-    return all(compose(t, t) == t for t in monoid.generator_map.values())
+    return all(_after(t)(t) == t for t in monoid.generator_map.values())
 
 
 @dataclass(frozen=True)
@@ -215,8 +214,8 @@ def green_report(min_dfa: Dfa) -> GreenReport:
     """All the tests from one R-class and one L-class computation."""
     monoid = transition_monoid(min_dfa)
     right, left = _green_classes(monoid, "R"), _green_classes(monoid, "L")
-    idempotent = [compose(t, t) == t for t in monoid.elements]
-    r_trivial, l_trivial = _trivial(right), _trivial(left)
+    idempotent = [_after(t)(t) == t for t in monoid.elements]
+    r_trivial, l_trivial = len(right) == len(monoid), len(left) == len(monoid)
     return GreenReport(
         monoid_size=len(monoid),
         r_trivial=r_trivial,

@@ -200,7 +200,9 @@ class DensityMatrix:
     @classmethod
     def pure(cls, amplitudes) -> "DensityMatrix":
         """State of a unit row vector v: the outer product with entries conj(v_i) v_j."""
-        v = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+        v = np.asarray(amplitudes, dtype=np.complex128)
+        if v.ndim != 1:
+            raise ValueError(f"amplitudes must be one-dimensional, got shape {v.shape}")
         return cls(np.outer(v.conj(), v))
 
 
@@ -239,8 +241,9 @@ class MeasureOnlyAutomaton:
 
     def __init__(self, alphabet, initial, observables, end_observable, accepting):
         alphabet = _check_alphabet(alphabet)
-        init = _frozen_matrix(initial).reshape(-1)
-        init.setflags(write=False)  # reshape copies an array not in C order
+        init = _frozen_matrix(initial)
+        if init.ndim != 1:
+            raise ValueError(f"initial vector must be one-dimensional, got shape {init.shape}")
         norm = math.sqrt(float(np.sum(np.abs(init) ** 2)))
         if not abs(norm - 1.0) <= EPS:  # also refuses NaN
             raise ValueError(f"initial vector norm is {norm:.12g}, not 1")

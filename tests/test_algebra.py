@@ -210,3 +210,42 @@ def test_monoid_size_is_bounded_by_n_to_the_n():
         m = transition_monoid(d)
         n = d.state_count
         assert len(m) <= n**n
+
+
+def test_right_cayley_table_is_the_composition_with_each_generator():
+    for d in support.random_corpus():
+        m = transition_monoid(minimize(d))
+        gens = list(m.generator_map.values())
+        k = len(gens)
+        assert len(m.right) == len(m) * k
+        for i, x in enumerate(m.elements):
+            for c, g in enumerate(gens):
+                assert m.right[i * k + c] == m.index[tuple(g[q] for q in x)]
+
+
+@given(data=st.data(), n=st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_compose_agrees_with_the_genexpr_definition(data, n):
+    states = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
+    first, then = data.draw(states), data.draw(states)
+    assert compose(first, then) == tuple(then[q] for q in first)
+
+
+def _group_dfa(n: int, full: bool) -> Dfa:
+    # an n-cycle and a transposition generate S_n; a collapse of one state
+    # onto another added to them generates T_n
+    gens = [[(q + 1) % n for q in range(n)], [1, 0] + list(range(2, n))]
+    if full:
+        gens.append([1] + list(range(1, n)))
+    return Dfa("abc"[: len(gens)], [tuple(g[q] for g in gens) for q in range(n)], 0, {0})
+
+
+@pytest.mark.parametrize("n, full, size", [(4, False, 24), (3, True, 27)])
+def test_green_classes_of_s4_and_t3_match_brute_force_ideals(n, full, size):
+    m = transition_monoid(_group_dfa(n, full))
+    assert len(m) == size
+    right, left, _ = oracles.brute_green_classes(m.elements)
+    for side, ideals in (("R", right), ("L", left)):
+        classes = {frozenset(m.elements[i] for i in c) for c in algebra._green_classes(m, side)}
+        expected = {frozenset(x for x in m.elements if ideals[x] == ideals[y]) for y in m.elements}
+        assert classes == expected

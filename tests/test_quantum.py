@@ -372,12 +372,24 @@ def test_automaton_constructor_refuses_a_nan_initial_vector():
 
 
 def test_automaton_initial_vector_is_read_only_whatever_the_input_order():
-    # reshape(-1) copies an array that is not in C order, and the copy is
-    # writable unless the constructor freezes it too
+    # a list or a strided vector is copied into one frozen C-order array; a
+    # matrix is refused, not flattened into a vector of its entries
     identity = identity_observable(4)
-    for entries in ([0.5, 0.5, 0.5, 0.5], np.asfortranarray(np.full((2, 2), 0.5))):
+    for entries in ([0.5, 0.5, 0.5, 0.5], np.full(8, 0.5)[::2]):
         acceptor = MeasureOnlyAutomaton("a", entries, {"a": identity}, identity, set())
         assert not acceptor.initial.flags.writeable
+        assert acceptor.initial.flags.c_contiguous
+    with pytest.raises(ValueError, match=re.escape("got shape (2, 2)")):
+        matrix = np.asfortranarray(np.full((2, 2), 0.5))
+        MeasureOnlyAutomaton("a", matrix, {"a": identity}, identity, set())
+
+
+def test_pure_state_refuses_amplitudes_that_are_not_a_vector():
+    with pytest.raises(ValueError, match=re.escape("got shape (2, 2)")):
+        DensityMatrix.pure(np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match=re.escape("got shape ()")):
+        DensityMatrix.pure(1.0)
+    assert DensityMatrix.pure([1.0]).dimension == 1
 
 
 def test_automaton_constructor_validates_every_observable():
