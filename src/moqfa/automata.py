@@ -7,6 +7,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Sequence
 
 from .errors import FormatError, _check_alphabet, _TokenLines
@@ -217,6 +218,8 @@ def _writer_table(body: str, n: int, alphabet: list[str]) -> list[int] | None:
     if body.count("\n") != n * k or re.fullmatch(_WRITER_TRANS, body) is None:
         return None
     fields = body.split()
+    if _state_major(fields, n, alphabet):
+        return list(map(int, fields[3::4]))  # the target column is the table
     index = {s: i for i, s in enumerate(alphabet)}
     table = [-1] * (n * k)
     columns = map(int, fields[1::4]), map(index.__getitem__, fields[2::4]), map(int, fields[3::4])
@@ -226,6 +229,19 @@ def _writer_table(body: str, n: int, alphabet: list[str]) -> list[int] | None:
     except (IndexError, KeyError):  # a source >= n, or an unknown symbol
         return None
     return table
+
+
+def _state_major(fields: list[str], n: int, alphabet: list[str]) -> bool:
+    """True iff the n x |alphabet| trans lines split into `fields` come in the
+    order serialize_dfa writes: sources 0..n-1, each over the alphabet in
+    order, each source without leading zeros.  One slice comparison per letter
+    and column."""
+    names = list(map(str, range(n)))
+    step = 4 * len(alphabet)
+    return all(
+        fields[1 + 4 * c :: step] == names and fields[2 + 4 * c :: step] == [symbol] * n
+        for c, symbol in enumerate(alphabet)
+    )
 
 
 def serialize_dfa(dfa: Dfa) -> str:
@@ -261,38 +277,68 @@ def _reachable_order(dfa: Dfa) -> list[int]:
     return order
 
 
-def _refine_partition(dfa: Dfa, states: list[int]) -> list[int]:
-    """Hopcroft partition refinement of `states`, the reachable states, as the
-    input numbers them; block_of[q] is the index of q's block in the coarsest
-    stable partition (unused for states outside `states`)."""
-    n_sym = len(dfa.alphabet)
-    # every successor of a reachable state is reachable, so the inverse
-    # tables need rows for `states` only
-    inv = [{q: [] for q in states} for _ in range(n_sym)]
-    for q in states:
-        for c, t in enumerate(dfa.transitions[q]):
-            inv[c][t].append(q)
-    acc = {q for q in states if q in dfa.accepting}
-    non = set(states) - acc
-    blocks = [set(g) for g in (acc, non) if g]
-    block_of = [0] * dfa.state_count
-    if len(blocks) < 2:
-        return block_of
-    for q in non:
-        block_of[q] = 1
-    work = {0, 1}
+def _first_appearance(keys: list) -> tuple[list[int], int]:
+    """Each key replaced by the rank of its first appearance in `keys`, and
+    the number of distinct keys."""
+    number = dict(zip(dict.fromkeys(keys), range(len(keys))))
+    return list(map(number.__getitem__, keys)), len(number)
+
+
+def _refine_partition(cols: list[list[int]], accepting: list[bool]) -> list[int]:
+    """The coarsest stable partition of the positions 0..m-1, where cols[c][p]
+    is p's successor on letter c, as each position's class numbered by first
+    appearance.  A Moore round, one C-level pass, pairs each class with its
+    successors' classes.  The rounds stop when one splits nothing, or when
+    one neither doubles the class count nor halves the positions not yet
+    alone in a class, each possible about log2 m times; Hopcroft finishes."""
+    m = len(accepting)
+    cls, old = _first_appearance(accepting)
+    while True:
+        prev = cls
+        cls, new = _first_appearance(list(zip(prev, *(map(prev.__getitem__, col) for col in cols))))
+        if new == old:
+            return cls
+        if new - old < min(old, m - new):
+            # numbered once Hopcroft's tables are freed
+            return _first_appearance(_hopcroft(cols, cls, new, prev))[0]
+        old = new
+
+
+def _hopcroft(cols: list[list[int]], cls: list[int], count: int, prev: list[int]) -> list[int]:
+    """Hopcroft's refinement of the `count` classes `cls`, which a Moore round
+    made out of `prev`, to the coarsest stable partition, as each position's
+    block.
+
+    The round leaves cls stable with respect to every class of prev, as if
+    each had been a splitter.  So the worklist starts with every class but
+    the largest child of each class of prev, which is its parent less its
+    queued siblings: Hopcroft's own invariant, and no queued class is more
+    than half its parent, so the smaller-half bound holds."""
+    # inv[c][t]: the positions whose successor on letter c is t
+    inv = [[[] for _ in cls] for _ in cols]
+    for col, back in zip(cols, inv):
+        for p, t in enumerate(col):
+            back[t].append(p)
+    blocks = [set() for _ in range(count)]
+    for p, b in enumerate(cls):
+        blocks[b].add(p)
+    parent = dict(zip(cls, prev))
+    by_size = sorted(range(count), key=lambda b: len(blocks[b]))
+    largest = dict(zip(map(parent.__getitem__, by_size), by_size))  # the last, largest child wins
+    work = set(range(count)).difference(largest.values())
+    block_of = cls  # refined in place
     while work:
         bi = work.pop()
         splitter = tuple(blocks[bi])
-        for c in range(n_sym):
+        for back in inv:
             pre = set()
             for t in splitter:
-                pre.update(inv[c][t])
+                pre.update(back[t])
             if not pre:
                 continue
             touched: dict[int, set[int]] = {}
-            for q in pre:
-                touched.setdefault(block_of[q], set()).add(q)
+            for p in pre:
+                touched.setdefault(block_of[p], set()).add(p)
             for yi, inter in touched.items():
                 block = blocks[yi]
                 if len(inter) == len(block):
@@ -302,8 +348,8 @@ def _refine_partition(dfa: Dfa, states: list[int]) -> list[int]:
                 blocks[yi] = big
                 ni = len(blocks)
                 blocks.append(small)
-                for q in small:
-                    block_of[q] = ni
+                for p in small:
+                    block_of[p] = ni
                 # if yi is queued the big half stays queued under yi, so
                 # queueing the new (smaller) index covers both cases
                 work.add(ni)
@@ -313,23 +359,32 @@ def _refine_partition(dfa: Dfa, states: list[int]) -> list[int]:
 def minimize(dfa: Dfa) -> Dfa:
     """Canonical minimal DFA for the same language.
 
-    Unreachable states are dropped, equivalent states merged (Hopcroft
-    partition refinement), and the result renumbered by breadth-first
-    discovery over the alphabet order, so any two automata for the same
-    language minimize to structurally equal values.
+    Unreachable states are dropped and equivalent states merged, and the
+    result is numbered by breadth-first discovery over the alphabet order,
+    so any two automata for the same language minimize to structurally
+    equal values.  The merge runs Moore rounds while each round at least
+    doubles the class count or halves the states not yet in a class of
+    their own, at most about 2 log2 m + 2 of them for m reachable states,
+    and then, unless a round has split nothing, Hopcroft's partition
+    refinement: random automata settle within a few rounds, while chains
+    and counters go to Hopcroft after the first.
     """
     order = _reachable_order(dfa)
-    block_of = _refine_partition(dfa, order)
-    # `order` is the BFS discovery order, and the first state of each block
-    # is discovered from the first state of an earlier block, so numbering
-    # blocks by first appearance is the quotient's BFS numbering.
-    first: dict[int, int] = {}  # block -> its first state, in appearance order
-    for q in order:
-        first.setdefault(block_of[q], q)
-    number = {b: i for i, b in enumerate(first)}
-    new_trans = [tuple(number[block_of[t]] for t in dfa.transitions[q]) for q in first.values()]
-    new_acc = {number[b] for b, q in first.items() if q in dfa.accepting}
-    return Dfa(dfa.alphabet, new_trans, 0, new_acc)
+    m = len(order)
+    # the reachable states renumbered by BFS position, one successor column
+    # per letter
+    pos = dict(zip(order, range(m)))
+    cols = [list(map(pos.__getitem__, col)) for col in zip(*map(dfa.transitions.__getitem__, order))]
+    accepting = list(map(dfa.accepting.__contains__, order))
+    cls = _refine_partition(cols, accepting)
+    # The positions are in BFS discovery order and the classes numbered by
+    # first appearance; the first state of each class is discovered from the
+    # first state of an earlier class, so this is the quotient's BFS numbering.
+    first = dict(zip(reversed(cls), reversed(range(m))))  # class -> its first position
+    reps = list(map(first.__getitem__, range(len(first))))
+    # over no letters only the initial state is reachable, and its row is empty
+    rows = zip(*(map(cls.__getitem__, map(col.__getitem__, reps)) for col in cols)) if cols else [()]
+    return Dfa(dfa.alphabet, rows, 0, compress(range(len(reps)), map(accepting.__getitem__, reps)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moqfa
+from moqfa import automata
 from moqfa import (
     Dfa,
     FormatError,
@@ -27,6 +28,8 @@ from moqfa import (
     parse_dfa,
     pattern_dfa,
     product,
+    random_dfa,
+    random_partially_ordered_dfa,
     serialize_dfa,
     sup_variation,
     sup_variation_witness,
@@ -225,9 +228,9 @@ def test_minimize_recovers_a_long_shuffled_chain():
     assert minimize(support.permute_states(d, perm)) == d
 
 
-def _bfs_discovery(d: Dfa) -> list[int]:
-    """States in breadth-first discovery order from state 0 over the alphabet."""
-    order, seen = [0], {0}
+def _bfs_discovery(d: Dfa, start: int = 0) -> list[int]:
+    """States in breadth-first discovery order from `start` over the alphabet."""
+    order, seen = [start], {start}
     for q in order:  # the list grows while it is read, so it is the queue
         for t in d.transitions[q]:
             if t not in seen:
@@ -277,6 +280,115 @@ def test_minimize_properties(d):
         d.state_count, len(d.alphabet), d.transitions, d.initial, d.accepting
     )
     assert minimal.state_count == len(set(classes.values()))
+
+
+# minimize runs Moore rounds, then Hopcroft's worklist unless a round split
+# nothing; each exit is compared with the table-filling oracle.
+
+
+def counter(n: int) -> Dfa:
+    """Counter mod n over ab: a adds one, b keeps the state; 0 accepts."""
+    return Dfa("ab", [((q + 1) % n, q) for q in range(n)], 0, {0})
+
+
+def doubled(d: Dfa, seed: int) -> Dfa:
+    """Two copies of d, each transition into either copy of its target, so
+    every state is equivalent to its twin."""
+    rng = random.Random(seed)
+    n = d.state_count
+    rows = [tuple(t + n * rng.randrange(2) for t in row) for row in d.transitions * 2]
+    return Dfa(d.alphabet, rows, d.initial + n * rng.randrange(2), d.accepting | {q + n for q in d.accepting})
+
+
+def refinement(d: Dfa) -> tuple[Dfa, list[int], bool]:
+    """minimize(d), the class counts before and after each Moore round, and
+    whether Hopcroft's worklist ran."""
+    counts, hopcroft = [], []
+    first_appearance, finish = automata._first_appearance, automata._hopcroft
+
+    def count(keys):
+        numbered = first_appearance(keys)
+        counts.append(numbered[1])
+        return numbered
+
+    def record(*args):
+        hopcroft.append(len(counts))  # its own renumbering is no round
+        return finish(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(automata, "_first_appearance", count)
+        patch.setattr(automata, "_hopcroft", record)
+        minimal = minimize(d)
+    return minimal, counts[: hopcroft[0]] if hopcroft else counts, bool(hopcroft)
+
+
+def assert_table_filling_quotient(d: Dfa, minimal: Dfa) -> None:
+    """minimal is d's reachable part with the oracle's classes merged."""
+    states, class_of = oracles.table_filling_classes(
+        d.state_count, len(d.alphabet), d.transitions, d.initial, d.accepting
+    )
+    image = {d.initial: minimal.initial}  # each reachable state's state in minimal
+    for q in _bfs_discovery(d, d.initial):
+        for t, u in zip(d.transitions[q], minimal.transitions[image[q]]):
+            assert image.setdefault(t, u) == u
+    assert sorted(image) == states
+    assert set(image.values()) == set(range(minimal.state_count))
+    for p in states:
+        assert (p in d.accepting) == (image[p] in minimal.accepting)
+        for q in states:
+            assert (class_of[p] == class_of[q]) == (image[p] == image[q])
+
+
+def refinement_inputs():
+    for seed in range(10):
+        yield "random", random_dfa(seed, 40, "ab")
+    for n in (7, 30):
+        yield "chain", counter(n)
+    for letters in ("abcab", "ab" * 12, "ca" * 9):
+        yield "chain", pattern_dfa(SubsequencePattern(letters, "abc"))
+    for seed in range(4):
+        yield "doubled", doubled(random_dfa(seed, 15, "abc"), seed)
+        yield "doubled", doubled(random_partially_ordered_dfa(seed, 15, "abc"), seed)
+        yield "doubled", doubled(counter(9 + seed), seed)
+    for seed, mode in enumerate(automata.PRODUCT_MODES * 2):
+        yield "product", product(random_dfa(seed, 6, "ab"), random_dfa(seed + 50, 7, "ab"), mode)
+    # round 2 goes from 6 to 10 of 12 classes: not doubled, but halving the
+    # states not alone in a class
+    yield "halving", random_dfa(2, 12, "ab")
+
+
+def test_minimize_is_the_table_filling_quotient_on_every_exit_of_the_refinement():
+    for kind, d in refinement_inputs():
+        minimal, rounds, hopcroft = refinement(d)
+        assert_table_filling_quotient(d, minimal)
+        assert _bfs_discovery(minimal) == list(range(minimal.state_count))
+        m = len(_bfs_discovery(d, d.initial))
+        assert len(rounds) - 1 <= 2 * math.log2(m) + 2
+        if not hopcroft:  # the last round split nothing
+            assert rounds[-1] == rounds[-2]
+        if kind == "random":
+            assert not hopcroft
+        elif kind == "chain":
+            assert hopcroft and rounds == [2, 3]
+        elif kind == "halving":
+            # the rounds go on past round 2, which did not double the classes
+            old, new = rounds[1:3]
+            assert not hopcroft and m - new <= new - old < old
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: counter(20000), lambda: pattern_dfa(SubsequencePattern("ab" * 10000, "abc"))],
+    ids=["counter", "chain"],
+)
+def test_long_counters_and_chains_take_one_moore_round(build):
+    # round 1 splits off one state, which neither doubles the classes nor
+    # halves the states not alone in one, so Hopcroft takes over; Moore
+    # rounds alone would need 20,000 rounds on the counter
+    d = build()
+    minimal, rounds, hopcroft = refinement(d)
+    assert minimal == d
+    assert hopcroft and rounds == [2, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ a second format/parse round trip.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -217,7 +219,10 @@ def test_one_alphabet_rule_for_constructors_parsers_and_cli(symbol, capsys):
 WRITER_EDITS = st.lists(
     st.tuples(
         st.sampled_from(
-            ["swap", "pad", "digit", "copy", "cut", "symbol", "alphabet", "states", "initial", "accepting", "huge"]
+            [
+                "swap", "shuffle", "pad", "zeros", "row", "digit", "copy", "cut",
+                "symbol", "alphabet", "states", "initial", "accepting", "huge",
+            ]
         ),
         st.integers(0, 10**6),
         st.integers(0, 10**6),
@@ -227,12 +232,14 @@ WRITER_EDITS = st.lists(
 
 
 def writer_edit(text: str, edits) -> str:
-    """`text` with edits that keep the writer's form: swapped or copied
-    trans lines, a zero prepended or a digit appended to a number, an
-    unknown symbol, an alphabet symbol repeated in place of another (also
-    in the trans lines), another state count, initial state or accepting
-    state, or a header of 10**12 states; or else a cut-off copy of a trans
-    line added, so that the line count stays n x |alphabet| with a gap."""
+    """`text` with edits that keep the writer's form: swapped, shuffled or
+    copied trans lines, a zero prepended or a digit appended to a number,
+    two zeros prepended to a source, the symbols of two adjacent lines of
+    one state swapped, an unknown symbol, an alphabet symbol repeated in place of
+    another (also in the trans lines), another state count, initial state or
+    accepting state, or a header of 10**12 states; or else a cut-off copy of
+    a trans line added, so that the line count stays n x |alphabet| with a
+    gap."""
     head, trans = text.split("\n")[:4], text.split("\n")[4:-1]
     cuts = []  # added last, so that every other edit meets whole lines
     for kind, i, j in edits:
@@ -240,6 +247,16 @@ def writer_edit(text: str, edits) -> str:
         fields = trans[a].split(" ")
         if kind == "swap":
             trans[a], trans[b] = trans[b], trans[a]
+        elif kind == "shuffle":
+            random.Random(j).shuffle(trans)
+        elif kind == "zeros":
+            fields[1] = "00" + fields[1]
+            trans[a] = " ".join(fields)
+        elif kind == "row":
+            if a + 1 < len(trans) and trans[a + 1].split(" ")[1] == fields[1]:
+                other = trans[a + 1].split(" ")
+                fields[2], other[2] = other[2], fields[2]
+                trans[a], trans[a + 1] = " ".join(fields), " ".join(other)
         elif kind == "copy":
             trans[a] = trans[b]
         elif kind in ("pad", "digit"):
@@ -291,11 +308,20 @@ def line_loop(text: str):
 @example(seed=3, alphabet="ab", edits=[("symbol", 0, 0)])  # symbol z
 @example(seed=3, alphabet="ab", edits=[("alphabet", 0, 1)])  # alphabet b b
 @example(seed=0, alphabet="ab", edits=[("states", 0, 1)])  # states 0
+# the writer's order is read as the target column; any other order, or a
+# source with leading zeros, goes through the fill loop
+@example(seed=5, alphabet="abc", edits=[])  # state-major
+@example(seed=5, alphabet="abc", edits=[("shuffle", 0, 1)])  # the same lines shuffled
+@example(seed=5, alphabet="a", edits=[("swap", 0, 3)])  # rows 0 and 3 swapped, symbols in order
+@example(seed=5, alphabet="abc", edits=[("zeros", 9, 0)])  # source 003
+@example(seed=5, alphabet="abc", edits=[("row", 3, 0)])  # trans 1 b 2 before trans 1 a 5
 @settings(max_examples=400, deadline=None)
 def test_bulk_pass_agrees_with_the_line_loop(seed, alphabet, edits):
     text = writer_edit(serialize_dfa(random_dfa(seed, seed % 6 + 1, alphabet)), edits)
-    bulk = automata._parse_writer_form(text)
-    assert bulk is None or bulk == line_loop(text)
+    answer = line_loop(text)
+    # the edits keep the writer's form, so the bulk pass reads every text
+    # the line loop accepts
+    assert automata._parse_writer_form(text) == (None if isinstance(answer, ValueError) else answer)
 
 
 HEADER = "states 1\nalphabet a\ninitial 0\naccepting\n"
@@ -321,7 +347,14 @@ def test_the_writers_output_takes_the_bulk_pass(monkeypatch):
     def refuse(text):
         raise AssertionError("the line loop read a text in the writer's form")
 
+    state_major = automata._state_major
+
+    def writer_order(fields, n, alphabet):
+        assert state_major(fields, n, alphabet), "the fill loop read a text in the writer's order"
+        return True
+
     monkeypatch.setattr(automata, "_TokenLines", refuse)
+    monkeypatch.setattr(automata, "_state_major", writer_order)
     dfas = list(support.random_corpus())
     dfas += [random_dfa(seed, 5, alphabet) for seed in range(20) for alphabet in ("#", "\u00e9", "a", "#\u00e9b")]
     dfas.append(Dfa("ab", [(0, 1), (1, 0)], 1, set()))
