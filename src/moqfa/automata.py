@@ -185,11 +185,11 @@ _WRITER_TRANS = r"(?:trans [0-9]{1,18} \S [0-9]{1,18}\n)*"
 
 def _parse_writer_form(text: str) -> Dfa | None:
     """parse_dfa's result for a text in the form serialize_dfa writes, with
-    the trans lines in any order, built column by column with no object per
+    the trans lines in its order, built column by column with no object per
     line; None for any other text, which the line loop then reads.
 
     Never raises: every error of the format is the line loop's to report.
-    Dfa checks the alphabet, the initial, accepting and target states and gaps.
+    Dfa checks the alphabet and the initial, accepting and target states.
     """
     header = re.match(_WRITER_HEADER, text)
     if header is None:
@@ -202,33 +202,21 @@ def _parse_writer_form(text: str) -> Dfa | None:
     rows = zip(*[iter(table)] * len(alphabet))
     try:
         return Dfa(alphabet, rows, int(header[3]), map(int, header[4].split()))
-    except ValueError:  # the alphabet rule, a state out of range or a gap
+    except ValueError:  # the alphabet rule or a state out of range
         return None
 
 
 def _writer_table(body: str, n: int, alphabet: list[str]) -> list[int] | None:
-    """The successors of the n x |alphabet| trans lines `body` in state-major
-    order, -1 in the gaps; None for other lines, a source >= n or an unknown
-    symbol.  A function of its own so that the column lists are freed before
-    the rows are built, since the collector's passes during that build would
-    scan them."""
-    k = len(alphabet)
-    # the count is checked before the table is sized from the header; with
-    # n * k lines, a duplicate always leaves a gap
-    if body.count("\n") != n * k or re.fullmatch(_WRITER_TRANS, body) is None:
+    """The successors of the n x |alphabet| trans lines `body` when they come
+    in the order serialize_dfa writes, where the target column is the table;
+    None for any other lines or order, which the line loop then reads.  A
+    function of its own so that the fields are freed before the rows are
+    built, since the collector's passes during that build would scan them."""
+    # the count is checked before _state_major builds n names from the header
+    if body.count("\n") != n * len(alphabet) or re.fullmatch(_WRITER_TRANS, body) is None:
         return None
     fields = body.split()
-    if _state_major(fields, n, alphabet):
-        return list(map(int, fields[3::4]))  # the target column is the table
-    index = {s: i for i, s in enumerate(alphabet)}
-    table = [-1] * (n * k)
-    columns = map(int, fields[1::4]), map(index.__getitem__, fields[2::4]), map(int, fields[3::4])
-    try:
-        for src, c, dst in zip(*columns):
-            table[src * k + c] = dst
-    except (IndexError, KeyError):  # a source >= n, or an unknown symbol
-        return None
-    return table
+    return list(map(int, fields[3::4])) if _state_major(fields, n, alphabet) else None
 
 
 def _state_major(fields: list[str], n: int, alphabet: list[str]) -> bool:

@@ -309,7 +309,7 @@ def line_loop(text: str):
 @example(seed=3, alphabet="ab", edits=[("alphabet", 0, 1)])  # alphabet b b
 @example(seed=0, alphabet="ab", edits=[("states", 0, 1)])  # states 0
 # the writer's order is read as the target column; any other order, or a
-# source with leading zeros, goes through the fill loop
+# source with leading zeros, goes to the line loop
 @example(seed=5, alphabet="abc", edits=[])  # state-major
 @example(seed=5, alphabet="abc", edits=[("shuffle", 0, 1)])  # the same lines shuffled
 @example(seed=5, alphabet="a", edits=[("swap", 0, 3)])  # rows 0 and 3 swapped, symbols in order
@@ -318,10 +318,8 @@ def line_loop(text: str):
 @settings(max_examples=400, deadline=None)
 def test_bulk_pass_agrees_with_the_line_loop(seed, alphabet, edits):
     text = writer_edit(serialize_dfa(random_dfa(seed, seed % 6 + 1, alphabet)), edits)
-    answer = line_loop(text)
-    # the edits keep the writer's form, so the bulk pass reads every text
-    # the line loop accepts
-    assert automata._parse_writer_form(text) == (None if isinstance(answer, ValueError) else answer)
+    bulk = automata._parse_writer_form(text)
+    assert bulk is None or bulk == line_loop(text)
 
 
 HEADER = "states 1\nalphabet a\ninitial 0\naccepting\n"
@@ -347,14 +345,7 @@ def test_the_writers_output_takes_the_bulk_pass(monkeypatch):
     def refuse(text):
         raise AssertionError("the line loop read a text in the writer's form")
 
-    state_major = automata._state_major
-
-    def writer_order(fields, n, alphabet):
-        assert state_major(fields, n, alphabet), "the fill loop read a text in the writer's order"
-        return True
-
     monkeypatch.setattr(automata, "_TokenLines", refuse)
-    monkeypatch.setattr(automata, "_state_major", writer_order)
     dfas = list(support.random_corpus())
     dfas += [random_dfa(seed, 5, alphabet) for seed in range(20) for alphabet in ("#", "\u00e9", "a", "#\u00e9b")]
     dfas.append(Dfa("ab", [(0, 1), (1, 0)], 1, set()))
