@@ -206,8 +206,16 @@ class DensityMatrix:
         return cls(np.outer(v.conj(), v))
 
 
-def _channel(projectors: Iterable[np.ndarray], rho: np.ndarray) -> np.ndarray:
-    return sum(p @ rho @ p for p in projectors)
+def _stack(obs: Observable) -> np.ndarray:
+    """The observable's projectors as one (r, d, d) array."""
+    return np.array([p for _, p in obs.outcomes])
+
+
+def _channel(stack: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_i P_i rho P_i as one batched product; each slice is the same BLAS
+    product as `p @ rho @ p`, and the sum over the first axis adds the slices
+    in order, so the result equals the one-projector-at-a-time sum."""
+    return (stack @ rho @ stack).sum(0)
 
 
 def measure(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
@@ -220,7 +228,7 @@ def measure(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
         raise ValueError(
             f"dimension mismatch: state is {rho.dimension}, observable is {obs.dimension}"
         )
-    return DensityMatrix(_channel((p for _, p in obs.outcomes), rho.matrix))
+    return DensityMatrix(_channel(_stack(obs), rho.matrix))
 
 
 @dataclass(frozen=True)
@@ -292,7 +300,7 @@ def acceptance_probabilities(auto: MeasureOnlyAutomaton, words: Iterable[Word]) 
     previous word, so a word list in length-lexicographic order costs a few
     channels per word.  An unknown symbol raises ValueError when reached.
     """
-    channels = {sym: [p for _, p in obs.outcomes] for sym, obs in auto.observables.items()}
+    channels = {sym: _stack(obs) for sym, obs in auto.observables.items()}
     accepting = auto.accepting_projector()
     # states[i] is the state after the first i letters of `previous`
     previous, states = (), [np.outer(auto.initial.conj(), auto.initial)]
@@ -302,10 +310,10 @@ def acceptance_probabilities(auto: MeasureOnlyAutomaton, words: Iterable[Word]) 
             shared += 1
         del states[shared + 1 :]
         for sym in word[shared:]:
-            projectors = channels.get(sym)
-            if projectors is None:
+            stack = channels.get(sym)
+            if stack is None:
                 raise ValueError(f"symbol {sym!r} is not in the alphabet")
-            states.append(_channel(projectors, states[-1]))
+            states.append(_channel(stack, states[-1]))
         previous = word
         yield min(1.0, max(0.0, float(np.trace(accepting @ states[-1]).real)))
 
@@ -489,6 +497,26 @@ def _parse_entry(token: str, line: int) -> complex:
         raise FormatError(f"bad numeric entry {token!r}", line) from None
 
 
+def _parse_entries(rows: list[tuple[int, list[str]]]) -> np.ndarray:
+    """The `re,im` entries of (line, tokens) rows as one flat complex array.
+
+    When every token has exactly one comma, all halves go through `float` in
+    one pass and are read in pairs: the values `_parse_entry` gives, bit for
+    bit.  Otherwise the per-entry loop raises the FormatError of the first
+    bad entry.
+    """
+    tokens = [token for _, row in rows for token in row]
+    if set(map(str.count, tokens, itertools.repeat(","))) == {1}:
+        try:
+            halves = list(map(float, ",".join(tokens).split(",")))
+        except ValueError:  # a half that is not a number
+            pass
+        else:
+            return np.array(halves).view(np.complex128)
+    entries = [_parse_entry(token, line) for line, row in rows for token in row]
+    return np.array(entries, dtype=np.complex128)
+
+
 def parse_automaton(text: str) -> MeasureOnlyAutomaton:
     """Parse the text format produced by `format_automaton`.
 
@@ -519,7 +547,7 @@ def parse_automaton(text: str) -> MeasureOnlyAutomaton:
         raise FormatError("expected 'initial:' line", line)
     if len(tokens) != 1 + dim:
         raise FormatError(f"expected {dim} initial entries, got {len(tokens) - 1}", line)
-    initial = [_parse_entry(tok, line) for tok in tokens[1:]]
+    initial = _parse_entries([(line, tokens[1:])])
 
     def parse_observable(context: str, header_line: int) -> Observable:
         outcomes = []
@@ -533,14 +561,17 @@ def parse_automaton(text: str) -> MeasureOnlyAutomaton:
             label = tokens[1]
             matrix = []
             for _ in range(dim):
+                row = rows.peek()
+                if row is None or len(row[1]) != dim:
+                    _parse_entries(matrix)  # a bad entry in an earlier row is the first error
                 entry_line, entry_tokens = rows.take(f"{dim} matrix rows for {context}")
                 if len(entry_tokens) != dim:
                     raise FormatError(
                         f"expected {dim} entries in matrix row, got {len(entry_tokens)}",
                         entry_line,
                     )
-                matrix.append([_parse_entry(tok, entry_line) for tok in entry_tokens])
-            outcomes.append((label, matrix))
+                matrix.append((entry_line, entry_tokens))
+            outcomes.append((label, _parse_entries(matrix).reshape(dim, dim)))
         if not outcomes:
             row = rows.peek()
             where = row[0] if row else rows.last_line

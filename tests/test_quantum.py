@@ -290,6 +290,47 @@ def test_acceptance_probabilities_equal_a_measure_loop():
         assert list(ordered) == [expected[i] for i in order]
 
 
+def referee_channel(projectors, rho):
+    """sum_i P_i rho P_i on plain arrays, one projector at a time with
+    Python's `sum`: shares no code with the library's channel."""
+    return sum(p @ rho @ p for p in projectors)
+
+
+def referee_probability(auto, word):
+    projectors = {sym: [p for _, p in obs.outcomes] for sym, obs in auto.observables.items()}
+    rho = np.outer(auto.initial.conj(), auto.initial)
+    for sym in word:
+        rho = referee_channel(projectors[sym], rho)
+    return min(1.0, max(0.0, float(np.trace(auto.accepting_projector() @ rho).real)))
+
+
+def test_the_channel_equals_a_python_sum_bit_for_bit():
+    rng = random.Random(20261019)
+    autos = [
+        pattern_automaton(pattern(letters, "abc"))
+        for letters in ("", "a", "ab", "cab", "abcab", "abcabcab")
+    ]
+    # dimensions 1-8 over two and three letters
+    autos += [
+        support.random_automaton(seed, seed % 8 + 1, "ab" if seed % 3 else "abc")
+        for seed in range(100)
+    ]
+    outcome_counts = {len(obs.outcomes) for auto in autos for obs in auto.observables.values()}
+    assert set(range(1, 7)) <= outcome_counts
+    for auto in autos:
+        words = [()] + [
+            tuple(rng.choice(auto.alphabet) for _ in range(rng.randrange(1, 13))) for _ in range(40)
+        ]
+        expected = [referee_probability(auto, w) for w in words]
+        assert list(acceptance_probabilities(auto, words)) == expected
+        rho = DensityMatrix.pure(auto.initial)
+        for sym in words[-1]:
+            projectors = [p for _, p in auto.observables[sym].outcomes]
+            expected = referee_channel(projectors, rho.matrix)
+            rho = measure(rho, auto.observables[sym])
+            assert (rho.matrix == expected).all()
+
+
 def test_acceptance_probabilities_reject_a_foreign_symbol_in_a_later_word():
     auto = pattern_automaton(pattern("ab", "ab"))
     probabilities = acceptance_probabilities(auto, ["ab", "a", "abx"])

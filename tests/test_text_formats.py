@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from moqfa import (
     Dfa,
     FormatError,
     MeasureOnlyAutomaton,
+    Observable,
     PatternError,
     SubsequencePattern,
     format_automaton,
@@ -29,7 +31,7 @@ from moqfa import (
     random_dfa,
     serialize_dfa,
 )
-from moqfa import automata
+from moqfa import automata, quantum
 from moqfa.cli import main
 
 import support
@@ -351,3 +353,150 @@ def test_the_writers_output_takes_the_bulk_pass(monkeypatch):
     dfas.append(Dfa("ab", [(0, 1), (1, 0)], 1, set()))
     for dfa in dfas:
         assert parse_dfa(serialize_dfa(dfa)) == dfa
+
+
+# ---------------------------------------------------------------------------
+# parse_automaton reads each matrix, and the initial vector, with one float
+# pass; `_parse_entry` reports the errors.  Every text must parse to the same
+# bits, or fail with the same error, as when every entry goes through
+# `_parse_entry`, and the writer's output must never need it.
+
+
+def entry_loop(text: str):
+    """parse_automaton's answer, or its ValueError, with every entry read by
+    `_parse_entry`."""
+
+    def per_entry(rows):
+        entries = [quantum._parse_entry(token, line) for line, row in rows for token in row]
+        return np.array(entries, dtype=np.complex128)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quantum, "_parse_entries", per_entry)
+        return parse_or_error(parse_automaton, text)
+
+
+def outcome(parsed):
+    """An error as its type, message and line; an acceptor as the bytes of
+    every array it holds."""
+    if isinstance(parsed, ValueError):
+        return type(parsed), str(parsed), getattr(parsed, "line", None)
+
+    def matrices(obs):
+        return [(label, p.tobytes()) for label, p in obs.outcomes]
+
+    return (
+        parsed.alphabet,
+        parsed.initial.tobytes(),
+        [matrices(parsed.observables[sym]) for sym in parsed.alphabet],
+        matrices(parsed.end_observable),
+        parsed.accepting,
+    )
+
+
+# seed 7 is the pattern ab over abc: dimension 3, its first matrix row is
+# line 5 (edit index 4), "0.5,0.0 0.5,0.0 0.0,0.0"
+@given(seed=st.integers(0, 10**4), edits=EDITS)
+@example(seed=7, edits=[("substitute", 4, 0, "1_0,0")])  # float() reads 1_0 as 10
+@example(seed=7, edits=[("substitute", 4, 2, "-0.0,-0.0")])  # signed zeros kept
+@example(seed=7, edits=[("substitute", 4, 2, "1e-320,0")])  # subnormal
+@example(seed=7, edits=[("substitute", 4, 0, "+.5,0")])
+@example(seed=7, edits=[("substitute", 4, 0, "nan,0")])
+@example(seed=7, edits=[("substitute", 4, 0, "1e999,0")])
+@example(seed=7, edits=[("substitute", 1, 1, "-0.0,-0.0")])  # in the initial vector
+@example(seed=7, edits=[("substitute", 5, 1, "1")])  # no comma
+@example(seed=7, edits=[("substitute", 5, 1, "1,2,3")])  # two commas
+@example(seed=7, edits=[("substitute", 4, 0, "x,0.0"), ("truncate", 5, 15, "")])
+@settings(max_examples=400, deadline=None)
+def test_float_pass_agrees_with_the_entry_loop(seed, edits):
+    text = edit(automaton_text(seed), edits)
+    assert outcome(parse_or_error(parse_automaton, text)) == outcome(entry_loop(text))
+
+
+@pytest.mark.parametrize(
+    "edits, keep, error",
+    [
+        pytest.param(
+            [("substitute", 4, 0, "x,0.0"), ("truncate", 5, 15, "")],
+            None,
+            "line 5: bad numeric entry 'x,0.0'",
+            id="bad-row-1-before-short-row-2",
+        ),
+        pytest.param(
+            [("substitute", 4, 0, "x,0.0")],
+            5,
+            "line 5: bad numeric entry 'x,0.0'",
+            id="bad-row-1-before-end-of-input",
+        ),
+        pytest.param(
+            [("truncate", 4, 15, ""), ("substitute", 5, 0, "x,0.0")],
+            None,
+            "line 5: expected 3 entries in matrix row, got 2",
+            id="short-row-1-before-bad-row-2",
+        ),
+        pytest.param(
+            [("substitute", 5, 1, "1,2,3"), ("substitute", 6, 0, "x,0.0")],
+            None,
+            "line 6: expected 're,im' entry, got '1,2,3'",
+            id="two-commas-before-bad-row-3",
+        ),
+        pytest.param(
+            [("substitute", 5, 2, "1"), ("substitute", 5, 1, "y,0")],
+            None,
+            "line 6: bad numeric entry 'y,0'",
+            id="entries-in-reading-order",
+        ),
+        # the halves of these two would still pair up
+        pytest.param(
+            [("substitute", 4, 0, "1"), ("substitute", 4, 1, "0,0,0")],
+            None,
+            "line 5: expected 're,im' entry, got '1'",
+            id="one-comma-short-one-too-many",
+        ),
+        pytest.param(
+            [("substitute", 1, 2, "1")],
+            None,
+            "line 2: expected 're,im' entry, got '1'",
+            id="initial-no-comma",
+        ),
+        pytest.param(
+            [("substitute", 1, 3, "0,z")], None, "line 2: bad numeric entry '0,z'", id="initial-bad"
+        ),
+    ],
+)
+def test_the_first_bad_entry_is_the_first_error(edits, keep, error):
+    text = "\n".join(edit(automaton_text(7), edits).split("\n")[:keep])
+    assert str(parse_or_error(parse_automaton, text)) == error
+    assert str(entry_loop(text)) == error
+
+
+def conjugated(auto: MeasureOnlyAutomaton, rng: np.random.Generator) -> MeasureOnlyAutomaton:
+    """The acceptor in a seeded random basis U: initial psi U^dagger, every
+    projector U P U^dagger."""
+    d = auto.dimension
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    uh = u.conj().T
+
+    def turn(obs):
+        return Observable(d, [(label, u @ p @ uh) for label, p in obs.outcomes])
+
+    observables = {sym: turn(obs) for sym, obs in auto.observables.items()}
+    return MeasureOnlyAutomaton(
+        auto.alphabet, auto.initial @ uh, observables, turn(auto.end_observable), auto.accepting
+    )
+
+
+def test_the_writers_acceptors_take_the_float_pass(monkeypatch):
+    def refuse(token, line):
+        raise AssertionError(f"the per-entry loop read {token!r} on line {line}")
+
+    monkeypatch.setattr(quantum, "_parse_entry", refuse)
+    rng = np.random.default_rng(20261019)
+    patterns = [SubsequencePattern(("abc" * 11)[: d - 1], "abc") for d in range(1, 34)]
+    autos = [pattern_automaton(p) for p in patterns]
+    autos += [conjugated(pattern_automaton(p), rng) for p in patterns]
+    for auto in autos:
+        back = parse_automaton(format_automaton(auto))
+        assert np.array_equal(back.initial, auto.initial)
+        for sym in auto.alphabet:
+            pairs = zip(back.observables[sym].outcomes, auto.observables[sym].outcomes)
+            assert all(np.array_equal(p, q) for (_, p), (_, q) in pairs)
