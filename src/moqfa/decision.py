@@ -169,7 +169,8 @@ def verify_construction(
         raise ValueError("word budget must be nonnegative")
     size = len(pattern.alphabet)
     total = 0
-    for length in range(max_len + 1):
+    # over the empty alphabet only the empty word exists
+    for length in range(max_len + 1 if size else 1):
         total += size**length
         if total > max_words:
             raise ResourceLimitError(

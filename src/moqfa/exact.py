@@ -60,6 +60,8 @@ def check_pattern_acceptor(
         violations += walk.expand(length, close)
         if length < max_len:
             level = {nxt for pair in level for nxt in walk.successors(pair)}
+            if not level:  # no word of the next length exists
+                break
     min_margin = float(min(margin for _, _, margin in verdicts.values()))
     return tuple(misclassified), tuple(violations), min_margin
 

@@ -13,68 +13,23 @@ end-word observable that accepts on the last coordinate.  That acceptor
 separates members from non-members of the pattern's shuffle ideal around the
 cut point 2^-(2k+1) with isolation radius 2^-(2k+2).
 
-numpy is bound lazily: importing this module executes none of numpy's code
-(unless numpy is already loaded), and numpy's `__init__` runs on the first
-array operation, so callers that never build a matrix never pay for it.
+Each function that builds a matrix imports numpy in its body, so importing
+this module does not import numpy and callers that never build a matrix
+never load it.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
 import math
-import sys
-import threading
-import types
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import FormatError, _check_alphabet, _TokenLines
 from .patterns import SubsequencePattern
 
-
-class _UnexecutedModule(types.ModuleType):
-    """A module in `sys.modules` whose code runs on its first attribute
-    access, which then makes it a plain module.  The lock makes other
-    threads wait for the finished module, while the loading thread, running
-    the module's own code, reads it as it is built.  (The standard
-    `importlib.util.LazyLoader` of Python 3.11 and 3.12.1 lets a second
-    thread read it half-built.)"""
-
-    _lock = threading.RLock()
-    _executing = False
-
-    def __getattribute__(self, name):
-        cls = _UnexecutedModule
-        with cls._lock:
-            if type(self) is cls and not cls._executing:
-                cls._executing = True
-                try:
-                    types.ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
-                    self.__class__ = types.ModuleType
-                finally:
-                    cls._executing = False
-        return types.ModuleType.__getattribute__(self, name)
-
-
-def _lazy_numpy():
-    """numpy itself when `sys.modules` holds it, otherwise an unexecuted
-    numpy registered there.  Every use of `np` below sits in a function body
-    or a string annotation, so importing this module runs no numpy code."""
-    if "numpy" in sys.modules:  # loaded, or blocked by None: import reports that
-        import numpy
-
-        return numpy
-    spec = importlib.util.find_spec("numpy")
-    if spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-    module = importlib.util.module_from_spec(spec)
-    module.__class__ = _UnexecutedModule
-    sys.modules["numpy"] = module
-    return module
-
-
-np = _lazy_numpy()
+if TYPE_CHECKING:
+    import numpy as np
 
 EPS = 1e-9
 
@@ -82,6 +37,7 @@ Word = Sequence[str]
 
 
 def _frozen_matrix(entries) -> np.ndarray:
+    import numpy as np
     m = np.array(entries, dtype=np.complex128)
     m.setflags(write=False)
     return m
@@ -118,6 +74,7 @@ class Observable:
 
 
 def identity_observable(dimension: int) -> Observable:
+    import numpy as np
     return Observable(dimension, (("pass", np.eye(dimension)),))
 
 
@@ -130,6 +87,7 @@ def validate_observable(obs: Observable) -> list[str]:
     prefixed "numeric:".  `Observable` runs this check when it is built, so
     the list is empty for every observable that exists.
     """
+    import numpy as np
     report: list[str] = []
     d = obs.dimension
     labels = obs.labels()
@@ -154,21 +112,24 @@ def validate_observable(obs: Observable) -> list[str]:
             report.append(f"structural: projector {label!r} has non-finite entries")
             continue
         usable.append((label, p))
-    for label, p in usable:
-        if np.max(np.abs(p - p.conj().T)) > EPS:
-            report.append(f"numeric: projector {label!r} is not Hermitian")
-        if np.max(np.abs(p @ p - p)) > EPS:
-            report.append(f"numeric: projector {label!r} is not idempotent")
-    for i, (label_i, p_i) in enumerate(usable):
-        for label_j, p_j in usable[i + 1 :]:
-            if np.max(np.abs(p_i @ p_j)) > EPS:
-                report.append(
-                    f"numeric: projectors {label_i!r} and {label_j!r} are not orthogonal"
-                )
-    if usable and len(usable) == len(obs.outcomes):
-        total = sum(p for _, p in usable)
-        if np.max(np.abs(total - np.eye(d))) > EPS:
-            report.append("numeric: projectors do not sum to the identity")
+    # a huge finite entry overflows a product to inf or NaN; a residual that
+    # is not at most EPS, NaN included, is a violation
+    with np.errstate(over="ignore", invalid="ignore"):
+        for label, p in usable:
+            if not np.max(np.abs(p - p.conj().T)) <= EPS:
+                report.append(f"numeric: projector {label!r} is not Hermitian")
+            if not np.max(np.abs(p @ p - p)) <= EPS:
+                report.append(f"numeric: projector {label!r} is not idempotent")
+        for i, (label_i, p_i) in enumerate(usable):
+            for label_j, p_j in usable[i + 1 :]:
+                if not np.max(np.abs(p_i @ p_j)) <= EPS:
+                    report.append(
+                        f"numeric: projectors {label_i!r} and {label_j!r} are not orthogonal"
+                    )
+        if usable and len(usable) == len(obs.outcomes):
+            total = sum(p for _, p in usable)
+            if not np.max(np.abs(total - np.eye(d))) <= EPS:
+                report.append("numeric: projectors do not sum to the identity")
     return report
 
 
@@ -179,6 +140,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __init__(self, matrix):
+        import numpy as np
         m = _frozen_matrix(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
@@ -200,6 +162,7 @@ class DensityMatrix:
     @classmethod
     def pure(cls, amplitudes) -> "DensityMatrix":
         """State of a unit row vector v: the outer product with entries conj(v_i) v_j."""
+        import numpy as np
         v = np.asarray(amplitudes, dtype=np.complex128)
         if v.ndim != 1:
             raise ValueError(f"amplitudes must be one-dimensional, got shape {v.shape}")
@@ -208,6 +171,7 @@ class DensityMatrix:
 
 def _stack(obs: Observable) -> np.ndarray:
     """The observable's projectors as one (r, d, d) array."""
+    import numpy as np
     return np.array([p for _, p in obs.outcomes])
 
 
@@ -248,6 +212,7 @@ class MeasureOnlyAutomaton:
     accepting: frozenset[str]
 
     def __init__(self, alphabet, initial, observables, end_observable, accepting):
+        import numpy as np
         alphabet = _check_alphabet(alphabet)
         init = _frozen_matrix(initial)
         if init.ndim != 1:
@@ -282,6 +247,7 @@ class MeasureOnlyAutomaton:
 
     def accepting_projector(self) -> np.ndarray:
         """Sum of the projectors of the accepting end-word outcomes."""
+        import numpy as np
         total = np.zeros((self.dimension, self.dimension), dtype=np.complex128)
         for label, p in self.end_observable.outcomes:
             if label in self.accepting:
@@ -300,6 +266,7 @@ def acceptance_probabilities(auto: MeasureOnlyAutomaton, words: Iterable[Word]) 
     previous word, so a word list in length-lexicographic order costs a few
     channels per word.  An unknown symbol raises ValueError when reached.
     """
+    import numpy as np
     channels = {sym: _stack(obs) for sym, obs in auto.observables.items()}
     accepting = auto.accepting_projector()
     # states[i] is the state after the first i letters of `previous`
@@ -330,6 +297,7 @@ def up_projector(pattern: SubsequencePattern, letter: str) -> np.ndarray:
     the diagonal outside every block, and 0 elsewhere.  Blocks of one letter
     never overlap because adjacent pattern letters differ.
     """
+    import numpy as np
     k = len(pattern.letters)
     d = k + 1
     p = np.zeros((d, d), dtype=np.complex128)
@@ -347,6 +315,7 @@ def up_projector(pattern: SubsequencePattern, letter: str) -> np.ndarray:
 def down_projector(pattern: SubsequencePattern, letter: str) -> np.ndarray:
     """Orthogonal complement of `up_projector`: +1/2 on each block diagonal,
     -1/2 on the block off-diagonals, 0 everywhere else."""
+    import numpy as np
     p = np.eye(len(pattern.letters) + 1) - up_projector(pattern, letter)
     p.setflags(write=False)
     return p
@@ -361,6 +330,7 @@ def pattern_automaton(pattern: SubsequencePattern) -> MeasureOnlyAutomaton:
     state.  The empty pattern yields the 1-dimensional acceptor with constant
     acceptance probability 1.
     """
+    import numpy as np
     k = len(pattern.letters)
     d = k + 1
     in_pattern = set(pattern.letters)
@@ -475,7 +445,7 @@ def format_automaton(auto: MeasureOnlyAutomaton) -> str:
     def emit_outcomes(obs: Observable) -> None:
         for label, p in obs.outcomes:
             lines.append(f"outcome {label}")
-            for row in np.asarray(p):
+            for row in p:
                 lines.append(" ".join(_format_entry(z) for z in row))
 
     for sym in auto.alphabet:
@@ -505,6 +475,7 @@ def _parse_entries(rows: list[tuple[int, list[str]]]) -> np.ndarray:
     bit.  Otherwise the per-entry loop raises the FormatError of the first
     bad entry.
     """
+    import numpy as np
     tokens = [token for _, row in rows for token in row]
     if set(map(str.count, tokens, itertools.repeat(","))) == {1}:
         try:

@@ -6,6 +6,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -278,6 +279,15 @@ def test_verify_zero_length_enumeration():
     assert report.ok
     assert report.words_checked == 1
     assert report.min_margin == 0.125
+
+
+def test_verify_over_the_empty_alphabet_returns_at_once():
+    # only the empty word exists, so no loop may run once per length
+    started = time.perf_counter()
+    report = verify_construction(SubsequencePattern((), ()), 10**9)
+    elapsed = time.perf_counter() - started
+    assert report.ok and report.max_len == 10**9 and report.words_checked == 1
+    assert elapsed < 1.0
 
 
 def test_verify_budget_exceeded():

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,19 @@ def test_validate_observable_flags_non_hermitian_and_non_idempotent():
         Observable(2, (("x", skew), ("y", np.eye(2) - skew)))
     with pytest.raises(ValueError, match="idempotent"):
         Observable(2, (("x", 0.5 * np.eye(2)), ("y", 0.5 * np.eye(2))))
+
+
+def test_validate_observable_counts_an_overflowed_residual_as_a_violation():
+    # p @ p overflows to inf and NaN; a NaN residual must not read as "within EPS"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            Observable(2, (("up", [[1e308 + 1e308j, 0], [0, 0]]), ("down", [[0, 0], [0, 1]])))
+    assert str(err.value).split("; ") == [
+        "numeric: projector 'up' is not Hermitian",
+        "numeric: projector 'up' is not idempotent",
+        "numeric: projectors do not sum to the identity",
+    ]
 
 
 @pytest.mark.parametrize("label", ["", "a b", "\t", 0])
@@ -463,6 +477,18 @@ def test_parse_automaton_names_the_line_of_a_broken_observable():
     assert str(err.value).startswith(f"line {end_line}: end-observable: numeric: ")
 
 
+def test_parse_automaton_refuses_a_huge_entry_without_a_warning():
+    lines = format_automaton(pattern_automaton(pattern("a", "ab"))).splitlines()
+    assert lines[3:5] == ["outcome up", "0.5,0.0 0.5,0.0"]
+    lines[4] = "1e308,0 0.5,0.0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError) as err:
+            parse_automaton("\n".join(lines) + "\n")
+    assert err.value.line == 3
+    assert "numeric: projector 'up' is not idempotent" in str(err.value)
+
+
 def test_cutpoint_params_are_exact():
     assert cutpoint_params(pattern("a", "ab")) == (0.125, 0.0625)
     assert cutpoint_params(pattern("ab", "ab")) == (0.03125, 0.015625)
@@ -587,7 +613,12 @@ def test_parse_automaton_skips_comments_and_blank_lines():
 
 
 # ---------------------------------------------------------------------------
-# numpy is executed on the first matrix operation, in a fresh interpreter
+# numpy is imported by the first matrix operation, in a fresh interpreter
+
+CONTAINS_A = (
+    "states 2\nalphabet a b\ninitial 0\naccepting 1\n"
+    "trans 0 a 1\ntrans 0 b 0\ntrans 1 a 1\ntrans 1 b 1\n"
+)
 
 
 def _child(argv, cwd=None):
@@ -598,30 +629,31 @@ def _child(argv, cwd=None):
 
 
 def test_dfa_commands_never_execute_numpy(tmp_path):
-    # `numpy` itself may be present as the unexecuted stub; its __init__
-    # would load numpy.* submodules
-    (tmp_path / "contains_a.dfa").write_text(
-        "states 2\nalphabet a b\ninitial 0\naccepting 1\n"
-        "trans 0 a 1\ntrans 0 b 0\ntrans 1 a 1\ntrans 1 b 1\n"
-    )
+    (tmp_path / "contains_a.dfa").write_text(CONTAINS_A)
     script = (
         "import sys\n"
         "from moqfa.cli import main\n"
         "runs = (['check'], ['monoid'], ['variation'], ['variation', '--word', 'ab'])\n"
         "codes = [main([cmd, 'contains_a.dfa', *rest]) for cmd, *rest in runs]\n"
-        "print(codes, sorted(name for name in sys.modules if name.startswith('numpy.')))\n"
+        "print(codes, 'numpy' in sys.modules)\n"
     )
     child = _child(["-c", script], cwd=tmp_path)
-    assert child.stdout.splitlines()[-1] == "[0, 0, 0, 0] []", child.stderr
+    assert child.stdout.splitlines()[-1] == "[0, 0, 0, 0] False", child.stderr
 
 
 def test_numpy_imported_after_moqfa_is_the_module_moqfa_uses():
-    script = (
-        "import sys, moqfa, numpy\n"
-        "print(numpy.linalg.norm(numpy.ones(4)) == 2.0, moqfa.quantum.np is sys.modules['numpy'])\n"
-    )
-    child = _child(["-c", script])
-    assert child.stdout.splitlines() == ["True True"], child.stderr
+    # and numpy imported before moqfa, too
+    for imports in ("import moqfa, numpy", "import numpy, moqfa"):
+        script = (
+            f"{imports}\n"
+            "auto = moqfa.pattern_automaton(moqfa.SubsequencePattern('ab', 'ab'))\n"
+            "arrays = [auto.initial, auto.accepting_projector()]\n"
+            "arrays += [p for obs in auto.observables.values() for _, p in obs.outcomes]\n"
+            "arrays.append(moqfa.DensityMatrix.pure([1, 0]).matrix)\n"
+            "print(all(isinstance(m, numpy.ndarray) for m in arrays))\n"
+        )
+        child = _child(["-c", script])
+        assert child.stdout.splitlines() == ["True"], (imports, child.stderr)
 
 
 def test_threads_making_the_first_matrices_at_once_all_see_a_whole_numpy():
@@ -660,13 +692,18 @@ def test_prob_loads_numpy_on_first_use_in_a_fresh_process():
     ],
     ids=["blocked", "not_installed"],
 )
-def test_import_without_numpy_raises_module_not_found_for_numpy(hide, message):
+def test_import_without_numpy_raises_module_not_found_for_numpy(hide, message, tmp_path):
+    # `import moqfa` and the DFA commands work; the first matrix raises
+    (tmp_path / "contains_a.dfa").write_text(CONTAINS_A)
     script = (
         f"import os, sys\n{hide}\n"
+        "import moqfa\n"
+        "from moqfa.cli import main\n"
+        "code = main(['check', 'contains_a.dfa'])\n"
         "try:\n"
-        "    import moqfa\n"
+        "    moqfa.pattern_automaton(moqfa.SubsequencePattern('a', 'ab'))\n"
         "except ModuleNotFoundError as exc:\n"
-        "    print(exc.name, exc)\n"
+        "    print(code, exc.name, exc)\n"
     )
-    child = _child(["-c", script])
-    assert child.stdout.splitlines() == [f"numpy {message}"], child.stderr
+    child = _child(["-c", script], cwd=tmp_path)
+    assert child.stdout.splitlines()[-1:] == [f"0 numpy {message}"], child.stderr
