@@ -3,9 +3,9 @@
 The pattern acceptor started on a basis state keeps its density matrix
 diagonal, with dyadic entries, and two words that reach the same pair
 (pattern progress, diagonal state) have the same future.  So every word up to
-a length can be checked by walking the set of distinct pairs of each length
-in exact rational arithmetic.
-`moqfa.decision.verify_construction` is the public entry point.
+a length is checked by walking the distinct pairs of each length in exact
+rational arithmetic, each letter's step read from its projectors' nonzero
+entries.  `moqfa.decision.verify_construction` is the public entry point.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ from fractions import Fraction
 from .automata import pattern_dfa
 from .patterns import SubsequencePattern
 from .quantum import MeasureOnlyAutomaton
-
-# channel images are read about this many entries at a time, so that the
-# memory of a walk grows as d^2, not d^3
-_BLOCK_ENTRIES = 1 << 20
 
 
 def check_pattern_acceptor(
@@ -71,36 +67,43 @@ class _PairWalk:
 
     A diagonal state is a tuple of integer numerators followed by their
     common denominator, reduced so that equal states are equal tuples.
+    Letter a sends E_rr to Phi_a(E_rr) = sum_i P_i[:, r] P_i[r, :], summed in
+    outcome order from the nonzero entries of each projector P_i; column s of
+    its step lists each nonzero (r, Phi_a(E_rr)[s, s] * scale).
     """
 
     def __init__(self, pattern: SubsequencePattern, auto: MeasureOnlyAutomaton):
         self.alphabet = pattern.alphabet
         self.advance = pattern_dfa(pattern).transitions
-        psi = auto.initial
-        rho = psi.conj()[:, None] * psi[None, :]
-        _check_diagonal(rho[None], "the initial state")
-        numerators, den = _common_denominator(rho.diagonal().real.tolist())
+        psi = auto.initial  # diagonal iff at most one amplitude is nonzero
+        if len(psi.nonzero()[0]) > 1:
+            raise _not_diagonal("the initial state")
+        numerators, den = _common_denominator((psi.conj() * psi).real.tolist())
         self.initial = _reduced(numerators + [den])
-        # letter a sends the diagonal basis state E_rr to
-        # Phi_a(E_rr) = sum_i P_i[:, r] P_i[r, :], entry (s, s) of which is
-        # weights[r * d + s] / scale; column s of a step lists its nonzero (r, weight)
-        d = auto.dimension
-        block = max(1, _BLOCK_ENTRIES // (d * d))
         self.steps = []
         for sym in self.alphabet:
-            projectors = [p for _, p in auto.observables[sym].outcomes]
-            diagonals = []
-            for lo in range(0, d, block):
-                rows = slice(lo, lo + block)
-                images = sum(p.T[rows, :, None] * p[rows, None, :] for p in projectors)
-                _check_diagonal(images, f"the channel of {sym!r}")
-                diagonals += images.diagonal(axis1=1, axis2=2).real.ravel().tolist()
-            weights, scale = _common_denominator(diagonals)
-            columns = tuple(
-                tuple((r, weights[r * d + s]) for r in range(d) if weights[r * d + s])
-                for s in range(d)
-            )
-            self.steps.append((columns, scale))
+            lines = []  # per P_i: nonzero (s, P_i[s, r]) by column r, (t, P_i[r, t]) by row r
+            for _, p in auto.observables[sym].outcomes:
+                lines.append((by_col := {}, by_row := {}))
+                rows, cols = p.nonzero()
+                for s, t, x in zip(rows.tolist(), cols.tolist(), p[rows, cols].tolist()):
+                    by_col.setdefault(t, []).append((s, x))
+                    by_row.setdefault(s, []).append((t, x))
+            found = []  # (r, s, Phi_a(E_rr)[s, s]) where nonzero
+            for r in range(auto.dimension):
+                image = {}  # (s, t) -> Phi_a(E_rr)[s, t]
+                for by_col, by_row in lines:
+                    for s, x in by_col.get(r, ()):
+                        for t, y in by_row.get(r, ()):
+                            image[s, t] = image.get((s, t), 0) + x * y
+                if any(x and (s != t or x.imag) for (s, t), x in image.items()):
+                    raise _not_diagonal(f"the channel of {sym!r}")
+                found += [(r, s, x.real) for (s, _), x in image.items() if x]
+            weights, scale = _common_denominator([x for _, _, x in found])
+            columns = [[] for _ in range(auto.dimension)]
+            for (r, s, _), w in zip(found, weights):
+                columns[s].append((r, w))
+            self.steps.append((tuple(map(tuple, columns)), scale))
         # on a diagonal state the readout trace(A rho) needs only A's diagonal
         self.accept, self.accept_den = _common_denominator(
             auto.accepting_projector().diagonal().real.tolist()
@@ -153,11 +156,8 @@ class _PairWalk:
         return found
 
 
-def _check_diagonal(images, what: str) -> None:
-    """ValueError unless every matrix images[r] is exactly real and diagonal."""
-    _, rows, cols = images.nonzero()
-    if images.imag.any() or (rows != cols).any():
-        raise ValueError(f"exact verification needs diagonal states: {what} is not diagonal")
+def _not_diagonal(what: str) -> ValueError:
+    return ValueError(f"exact verification needs diagonal states: {what} is not diagonal")
 
 
 def _common_denominator(values: list) -> tuple[list, int]:

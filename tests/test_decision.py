@@ -368,6 +368,25 @@ def test_verify_memory_does_not_grow_as_the_cube_of_the_dimension():
     assert child.stdout.splitlines() == ["True 7 True"], child.stderr
 
 
+def test_verify_time_does_not_grow_as_the_cube_of_the_dimension():
+    pytest.importorskip("resource")
+    # verified in a child interpreter under a 4 s CPU cap, import included;
+    # on a 2-vCPU x86-64 host, forming the d^3 channel image entries of each
+    # letter at d = 537 took 7 to 10 s, reading the projectors' nonzero
+    # entries 0.6 to 1.0 s
+    script = (
+        "import resource, moqfa\n"
+        "resource.setrlimit(resource.RLIMIT_CPU, (4, 4))\n"
+        "report = moqfa.verify_construction(moqfa.SubsequencePattern('ab' * 268, 'ab'), 0)\n"
+        "print(report.ok, report.words_checked, report.min_margin == 2.0**-1073)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(moqfa.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert child.stdout.splitlines() == ["True 1 True"], child.stderr
+
+
 def _with_accepting(auto, accepting):
     return MeasureOnlyAutomaton(
         auto.alphabet, auto.initial, auto.observables, auto.end_observable, accepting
@@ -464,6 +483,58 @@ def test_verify_refuses_a_non_diagonal_acceptor(monkeypatch, fix_initial, culpri
     real = decision.pattern_automaton
     monkeypatch.setattr(decision, "pattern_automaton", lambda p: _conjugated(real(p), unitary))
     with pytest.raises(ValueError, match=f"{culprit} is not diagonal"):
+        verify_construction(SubsequencePattern("ab", "abc"), 3)
+
+
+@pytest.mark.parametrize(
+    "letters, alphabet, phases", [("ab", "abc", (1, -1, 1j)), ("aba", "ab", (1, 1j, -1, -1j))]
+)
+def test_verify_accepts_complex_entries_whose_channel_stays_diagonal(
+    monkeypatch, letters, alphabet, phases
+):
+    # a diagonal unitary puts phases on the off-diagonal projector entries;
+    # each letter still sends diagonal states to the same diagonal states.
+    # The last phase squares to -1, so reading P[r, s] for P[s, r] would
+    # negate the accepting entry of every state
+    pattern = SubsequencePattern(letters, alphabet)
+    expected = verify_construction(pattern, 6)
+    real = decision.pattern_automaton
+    unitary = np.diag(phases)
+    monkeypatch.setattr(decision, "pattern_automaton", lambda p: _conjugated(real(p), unitary))
+    assert verify_construction(pattern, 6) == expected
+
+
+def test_verify_refuses_a_real_channel_that_leaves_the_diagonal(monkeypatch):
+    # a real rotation of basis states 1 and 2: every entry stays real, so only
+    # the off-diagonal entries of a letter's images show the fault
+    unitary = np.array([[1, 0, 0], [0, 0.6, -0.8], [0, 0.8, 0.6]])
+    real = decision.pattern_automaton
+    monkeypatch.setattr(decision, "pattern_automaton", lambda p: _conjugated(real(p), unitary))
+    with pytest.raises(ValueError, match="channel of 'a' is not diagonal"):
+        verify_construction(SubsequencePattern("ab", "abc"), 3)
+
+
+def test_verify_refuses_imaginary_parts_within_the_tolerance(monkeypatch):
+    # an up projector of 'a' off by 1e-12j in one entry, with down = I - up,
+    # is a valid observable whose images of basis states stay diagonal but
+    # gain imaginary parts: the exact walk refuses them instead of dropping them
+    real = decision.pattern_automaton
+
+    def perturbed(p):
+        auto = real(p)
+        up = auto.observables["a"].outcomes[0][1].copy()
+        up[0, 1] += 1e-12j
+        obs = Observable(auto.dimension, (("up", up), ("down", np.eye(auto.dimension) - up)))
+        return MeasureOnlyAutomaton(
+            auto.alphabet,
+            auto.initial,
+            {**auto.observables, "a": obs},
+            auto.end_observable,
+            auto.accepting,
+        )
+
+    monkeypatch.setattr(decision, "pattern_automaton", perturbed)
+    with pytest.raises(ValueError, match="channel of 'a' is not diagonal"):
         verify_construction(SubsequencePattern("ab", "abc"), 3)
 
 
