@@ -9,6 +9,8 @@ order, so element order and shortest witnesses are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 
 from .automata import Dfa
@@ -35,9 +37,14 @@ class FiniteMonoid:
 
     elements[0] is the identity; index is the position of each element;
     generator_map sends each alphabet symbol to its transformation;
-    shortest_witness records the length-lex-first word reaching each element;
     right, the right Cayley graph, is flat: right[i*k + c] is the index of
     elements[i] times the c-th of the k generators, in generator_map order.
+    prefix and final are the closure's prefix links (Froidure and Pin): for
+    i > 0, elements[i] was first reached as elements[prefix[i]] times the
+    final[i]-th generator, and prefix[i] < i.  Following the links from i
+    down to 0 spells the length-lex-first word reaching elements[i], so
+    shortest_witness is built from them on first access, and a product gx
+    is reached from g times elements[prefix[x]] without composing.
     """
 
     def __init__(
@@ -45,16 +52,27 @@ class FiniteMonoid:
         degree: int,
         elements: tuple[Transformation, ...],
         generator_map: dict[str, Transformation],
-        shortest_witness: dict[Transformation, tuple[str, ...]],
+        prefix: list[int],
+        final: list[int],
         index: dict[Transformation, int],
         right: list[int],
     ):
         self.degree = degree
         self.elements = elements
         self.generator_map = generator_map
-        self.shortest_witness = shortest_witness
+        self.prefix = prefix
+        self.final = final
         self.index = index
         self.right = right
+
+    @cached_property
+    def shortest_witness(self) -> dict[Transformation, tuple[str, ...]]:
+        """The length-lex-first word reaching each element, in element order."""
+        symbols = tuple(self.generator_map)
+        words: list[tuple[str, ...]] = [()]
+        for p, f in zip(islice(self.prefix, 1, None), islice(self.final, 1, None)):
+            words.append(words[p] + (symbols[f],))
+        return dict(zip(self.elements, words))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -76,12 +94,13 @@ def transition_monoid(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> 
     generators = dict(zip(min_dfa.alphabet, zip(*min_dfa.transitions)))
     elements = [identity]
     index = {identity: 0}
-    witness = {identity: ()}
+    prefix, final = [0], [0]  # the identity's entries are never read
     right: list[int] = []
+    letters = list(enumerate(generators.values()))
     # elements grows while it is read, in BFS order: it is its own queue
-    for current in elements:
+    for i, current in enumerate(elements):
         after = _after(current)
-        for sym, generator in generators.items():
+        for c, generator in letters:
             successor = after(generator)
             j = index.get(successor)
             if j is None:
@@ -90,9 +109,10 @@ def transition_monoid(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> 
                     raise ResourceLimitError(f"transition monoid exceeds {limit} elements")
                 index[successor] = j
                 elements.append(successor)
-                witness[successor] = witness[current] + (sym,)
+                prefix.append(i)
+                final.append(c)
             right.append(j)
-    return FiniteMonoid(n, tuple(elements), generators, witness, index, right)
+    return FiniteMonoid(n, tuple(elements), generators, prefix, final, index, right)
 
 
 # ---------------------------------------------------------------------------
@@ -114,28 +134,31 @@ def _strongly_connected_components(count: int, table: list[int], k: int) -> list
         order[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        work = [(root, root * k)]  # (node, table position of its next successor)
-        while work:
-            node, pos = work[-1]
+        # the DFS path: each node and the table position of its next successor
+        path, next_pos = [root], [root * k]
+        while path:
+            node, pos = path[-1], next_pos[-1]
             end = node * k + k
             while pos < end:
                 nxt = table[pos]
                 pos += 1
                 seen = order[nxt]
                 if seen == -1:
-                    work[-1] = (node, pos)
+                    next_pos[-1] = pos
                     order[nxt] = low[nxt] = counter
                     counter += 1
                     depth[nxt] = len(stack)
                     stack.append(nxt)
-                    work.append((nxt, nxt * k))
+                    path.append(nxt)
+                    next_pos.append(nxt * k)
                     break
                 if seen < low[node]:
                     low[node] = seen
             else:
-                work.pop()
-                if work and low[node] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[node]
+                path.pop()
+                next_pos.pop()
+                if path and low[node] < low[path[-1]]:
+                    low[path[-1]] = low[node]
                 if low[node] == order[node]:
                     component = stack[depth[node] :]
                     del stack[depth[node] :]
@@ -148,12 +171,19 @@ def _strongly_connected_components(count: int, table: list[int], k: int) -> list
 def _green_classes(monoid: FiniteMonoid, side: str) -> list[list[int]]:
     """R-classes (side "R": x ~ xg) or L-classes (side "L": x ~ gx), as lists of
     element indices: strong components of the right Cayley graph the closure
-    recorded, or of the left one, built here with one getter per generator."""
-    k, table = len(monoid.generator_map), monoid.right
+    recorded, or of the left one, read from it through the prefix links:
+    g times elements[x] is g times elements[prefix[x]], times the final[x]-th
+    generator (Froidure and Pin)."""
+    k, right = len(monoid.generator_map), monoid.right
+    table = right
     if side == "L":
-        table = [0] * len(table)
-        for c, g in enumerate(monoid.generator_map.values()):
-            table[c::k] = map(monoid.index.__getitem__, map(_after(g), monoid.elements))
+        table = [0] * len(right)
+        prefix, final = monoid.prefix, monoid.final
+        for c in range(k):
+            left_c = [right[c]]  # g times the identity is g
+            for p, f in zip(islice(prefix, 1, None), islice(final, 1, None)):
+                left_c.append(right[left_c[p] * k + f])
+            table[c::k] = left_c
     return _strongly_connected_components(len(monoid), table, k)
 
 

@@ -125,6 +125,22 @@ def test_shortest_witnesses_are_length_lex_minimal():
         first_seen.setdefault(action, tuple(word))
     for element, witness in m.shortest_witness.items():
         assert first_seen[element] == witness
+    # on the corpus the referee walks words in length-lex order and extends
+    # only the first word of each action: the first word of an element, less
+    # its last letter, is the first word of its own action
+    for d in support.random_corpus():
+        minimal = minimize(d)
+        m = transition_monoid(minimal)
+        identity = tuple(range(minimal.state_count))
+        first_seen = {identity: ()}
+        queue = [((), identity)]
+        for word, action in queue:
+            for c, sym in enumerate(minimal.alphabet):
+                successor = tuple(minimal.transitions[q][c] for q in action)
+                if successor not in first_seen:
+                    first_seen[successor] = word + (sym,)
+                    queue.append((word + (sym,), successor))
+        assert list(m.shortest_witness.items()) == list(first_seen.items())
 
 
 def _apply(dfa, state, word):
@@ -221,6 +237,49 @@ def test_right_cayley_table_is_the_composition_with_each_generator():
         for i, x in enumerate(m.elements):
             for c, g in enumerate(gens):
                 assert m.right[i * k + c] == m.index[tuple(g[q] for q in x)]
+
+
+def test_prefix_links_spell_each_element_and_give_the_left_table(monkeypatch):
+    tables = []
+    walk = algebra._strongly_connected_components
+
+    def recording(count, table, k):
+        tables.append(table)
+        return walk(count, table, k)
+
+    monkeypatch.setattr(algebra, "_strongly_connected_components", recording)
+    dfas = [minimize(d) for d in support.random_corpus()]
+    for d in dfas + [_group_dfa(4, False), _group_dfa(3, True)]:
+        m = transition_monoid(d)
+        gens = list(m.generator_map.values())
+        assert len(m.prefix) == len(m.final) == len(m)
+        for i in range(1, len(m)):
+            assert m.prefix[i] < i
+            assert m.elements[i] == compose(m.elements[m.prefix[i]], gens[m.final[i]])
+        tables.clear()
+        algebra._green_classes(m, "L")
+        assert tables == [[m.index[compose(g, x)] for x in m.elements for g in gens]]
+
+
+def test_words_are_spelled_only_when_read(monkeypatch):
+    built = []
+    close = algebra.transition_monoid
+
+    def recording(min_dfa):
+        built.append(close(min_dfa))
+        return built[-1]
+
+    monkeypatch.setattr(algebra, "transition_monoid", recording)
+    dfas = [minimize(d) for d in support.random_corpus(60)]
+    for d in dfas + [_group_dfa(4, False), _group_dfa(3, True)]:
+        green_report(d)
+        m = built[-1]
+        assert "shortest_witness" not in vars(m)
+        algebra._green_classes(m, "R")
+        algebra._green_classes(m, "L")
+        assert "shortest_witness" not in vars(m)
+        assert m.shortest_witness is m.shortest_witness
+        assert len(m.shortest_witness) == len(m)
 
 
 @given(data=st.data(), n=st.integers(1, 9))
