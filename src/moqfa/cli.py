@@ -17,7 +17,7 @@ from .algebra import green_report
 from .automata import minimize, parse_dfa, sup_variation, variation
 from .decision import DEFAULT_WORD_BUDGET, diagnose, verify_construction
 from .errors import ResourceLimitError
-from .patterns import SubsequencePattern
+from .patterns import SubsequencePattern, pattern_acceptor
 from .quantum import (
     acceptance_probability,
     cutpoint_params,
@@ -64,12 +64,12 @@ def _quoted_words(words) -> str:
 def _cmd_synth(args) -> int:
     pattern = _pattern_from_args(args)
     cutpoint, isolation = cutpoint_params(pattern)
-    auto = pattern_automaton(pattern)
-    print(f"dim: {auto.dimension}")
+    print(f"dim: {pattern_acceptor(pattern).dimension}")
     print(f"lambda: {_fmt(cutpoint)}")
     print(f"delta: {_fmt(isolation)}")
-    if args.emit:
-        Path(args.emit).write_text(format_automaton(auto), encoding="utf-8")
+    if args.emit:  # only the text form needs matrices, and so numpy
+        text = format_automaton(pattern_automaton(pattern))
+        Path(args.emit).write_text(text, encoding="utf-8")
     return EXIT_OK
 
 

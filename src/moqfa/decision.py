@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from .algebra import DEFAULT_ELEMENT_CAP, is_j_trivial, letters_idempotent, transition_monoid
 from .automata import Dfa, _acyclic_order, is_literally_idempotent, is_partially_ordered, minimize
 from .errors import ResourceLimitError
-from .patterns import SubsequencePattern
+from .patterns import SubsequencePattern, pattern_acceptor
 # `measure` is unused here; it stays a module attribute because the verify
 # workload of perfbench/workloads.py traces `decision.measure` by that name.
-from .quantum import cutpoint_params, measure, pattern_automaton
+from .quantum import cutpoint_params, measure
 
 DEFAULT_WORD_BUDGET = 2_000_000
 
@@ -154,10 +154,12 @@ def verify_construction(
     subsequence membership, and violates isolation when |probability -
     cutpoint| < isolation; both sides are compared as exact rationals.
 
-    The acceptor is the one `pattern_automaton` builds.  Its letters map
-    diagonal states to diagonal states (checked exactly; otherwise
-    ValueError), and two words that reach the same (pattern progress,
-    diagonal state) pair have the same future.  So the words are walked one
+    The acceptor is the exact sparse form that `pattern_acceptor` writes and
+    checks; `pattern_automaton` renders the same form into the matrices that
+    `moqfa synth --emit` writes.  No matrix is built here, and numpy is not
+    imported.  The acceptor's letters map diagonal states to diagonal states
+    (checked exactly; otherwise ValueError), and two words that reach the
+    same (pattern progress, diagonal state) pair have the same future.  So the words are walked one
     length at a time as the set of distinct pairs they reach, and only the
     pairs that fail are spelled out as words, in length-lexicographic order.
     Raises ResourceLimitError when `words_checked` would exceed `max_words`,
@@ -182,7 +184,7 @@ def verify_construction(
 
     cutpoint, isolation = cutpoint_params(pattern)
     misclassified, violations, min_margin = check_pattern_acceptor(
-        pattern, pattern_automaton(pattern), cutpoint, isolation, max_len
+        pattern, pattern_acceptor(pattern), cutpoint, isolation, max_len
     )
     return VerificationReport(
         pattern=pattern,

@@ -4,8 +4,10 @@ The pattern acceptor started on a basis state keeps its density matrix
 diagonal, with dyadic entries, and two words that reach the same pair
 (pattern progress, diagonal state) have the same future.  So every word up to
 a length is checked by walking the distinct pairs of each length in exact
-rational arithmetic, each letter's step read from its projectors' nonzero
-entries.  `moqfa.decision.verify_construction` is the public entry point.
+rational arithmetic, each letter's step read from the nonzero projector
+entries of the acceptor's sparse form (`moqfa.patterns.SparseAcceptor`).
+The walk builds no matrix and imports no numpy.
+`moqfa.decision.verify_construction` is the public entry point.
 """
 
 from __future__ import annotations
@@ -14,19 +16,18 @@ import math
 from fractions import Fraction
 
 from .automata import pattern_dfa
-from .patterns import SubsequencePattern
-from .quantum import MeasureOnlyAutomaton
+from .patterns import SparseAcceptor, SubsequencePattern, _common_denominator
 
 
 def check_pattern_acceptor(
     pattern: SubsequencePattern,
-    auto: MeasureOnlyAutomaton,
+    acceptor: SparseAcceptor,
     cutpoint: float,
     isolation: float,
     max_len: int,
 ) -> tuple[tuple, tuple, float]:
-    """(misclassified words, isolation violations, minimum margin) of `auto`
-    on every word over the pattern's alphabet up to `max_len`.
+    """(misclassified words, isolation violations, minimum margin) of
+    `acceptor` on every word over the pattern's alphabet up to `max_len`.
 
     A word is misclassified when (probability > cutpoint) disagrees with
     subsequence membership, and violates isolation when |probability -
@@ -35,7 +36,7 @@ def check_pattern_acceptor(
     and every letter's image of every diagonal basis state are exactly
     diagonal.
     """
-    walk = _PairWalk(pattern, auto)
+    walk = _PairWalk(pattern, acceptor)
     lam, radius = Fraction(cutpoint), Fraction(isolation)
     verdicts = {}  # state -> (accepted, isolated, margin)
     misclassified, violations = [], []
@@ -72,25 +73,25 @@ class _PairWalk:
     its step lists each nonzero (r, Phi_a(E_rr)[s, s] * scale).
     """
 
-    def __init__(self, pattern: SubsequencePattern, auto: MeasureOnlyAutomaton):
+    def __init__(self, pattern: SubsequencePattern, acceptor: SparseAcceptor):
         self.alphabet = pattern.alphabet
         self.advance = pattern_dfa(pattern).transitions
-        psi = auto.initial  # diagonal iff at most one amplitude is nonzero
-        if len(psi.nonzero()[0]) > 1:
+        d = acceptor.dimension
+        psi = acceptor.initial  # diagonal iff at most one amplitude is nonzero
+        if sum(1 for z in psi if z) > 1:
             raise _not_diagonal("the initial state")
-        numerators, den = _common_denominator((psi.conj() * psi).real.tolist())
+        numerators, den = _common_denominator([(z.conjugate() * z).real for z in psi])
         self.initial = _reduced(numerators + [den])
         self.steps = []
         for sym in self.alphabet:
             lines = []  # per P_i: nonzero (s, P_i[s, r]) by column r, (t, P_i[r, t]) by row r
-            for _, p in auto.observables[sym].outcomes:
+            for _, p in acceptor.observables[sym]:
                 lines.append((by_col := {}, by_row := {}))
-                rows, cols = p.nonzero()
-                for s, t, x in zip(rows.tolist(), cols.tolist(), p[rows, cols].tolist()):
+                for (s, t), x in p.items():
                     by_col.setdefault(t, []).append((s, x))
                     by_row.setdefault(s, []).append((t, x))
             found = []  # (r, s, Phi_a(E_rr)[s, s]) where nonzero
-            for r in range(auto.dimension):
+            for r in range(d):
                 image = {}  # (s, t) -> Phi_a(E_rr)[s, t]
                 for by_col, by_row in lines:
                     for s, x in by_col.get(r, ()):
@@ -100,14 +101,18 @@ class _PairWalk:
                     raise _not_diagonal(f"the channel of {sym!r}")
                 found += [(r, s, x.real) for (s, _), x in image.items() if x]
             weights, scale = _common_denominator([x for _, _, x in found])
-            columns = [[] for _ in range(auto.dimension)]
+            columns = [[] for _ in range(d)]
             for (r, s, _), w in zip(found, weights):
                 columns[s].append((r, w))
             self.steps.append((tuple(map(tuple, columns)), scale))
         # on a diagonal state the readout trace(A rho) needs only A's diagonal
-        self.accept, self.accept_den = _common_denominator(
-            auto.accepting_projector().diagonal().real.tolist()
-        )
+        accept = [0] * d
+        for label, p in acceptor.end_observable:
+            if label in acceptor.accepting:
+                for (r, c), x in p.items():
+                    if r == c:
+                        accept[r] += x
+        self.accept, self.accept_den = _common_denominator([x.real for x in accept])
         self._successors = {}
 
     def probability(self, state) -> Fraction:
@@ -158,13 +163,6 @@ class _PairWalk:
 
 def _not_diagonal(what: str) -> ValueError:
     return ValueError(f"exact verification needs diagonal states: {what} is not diagonal")
-
-
-def _common_denominator(values: list) -> tuple[list, int]:
-    """Integers n_i and one denominator m with values[i] == n_i / m exactly."""
-    ratios = [x.as_integer_ratio() for x in values]
-    m = math.lcm(*(den for _, den in ratios))
-    return [num * (m // den) for num, den in ratios], m
 
 
 def _reduced(entries: list) -> tuple[int, ...]:

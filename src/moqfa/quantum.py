@@ -6,12 +6,13 @@ nonselective measurement channel rho -> sum_i P_i rho P_i of that letter's
 observable; the acceptance probability is then the probability mass the final
 state assigns to the accepting outcomes of the end-word observable.
 
-The module also builds the canonical acceptor for a subsequence pattern:
-dimension k+1 tracking subsequence progress, an up/down projector pair for
-every pattern letter, the identity observable for all other letters, and an
-end-word observable that accepts on the last coordinate.  That acceptor
-separates members from non-members of the pattern's shuffle ideal around the
-cut point 2^-(2k+1) with isolation radius 2^-(2k+2).
+The module also renders the canonical acceptor for a subsequence pattern,
+which `moqfa.patterns.pattern_acceptor` writes as exact sparse data, into
+matrices: dimension k+1 tracking subsequence progress, an up/down projector
+pair for every pattern letter, the identity observable for all other
+letters, and an end-word observable that accepts on the last coordinate.
+That acceptor separates members from non-members of the pattern's shuffle
+ideal around the cut point 2^-(2k+1) with isolation radius 2^-(2k+2).
 
 Each function that builds a matrix imports numpy in its body, so importing
 this module does not import numpy and callers that never build a matrix
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import FormatError, _check_alphabet, _TokenLines
-from .patterns import SubsequencePattern
+from .patterns import SparseAcceptor, SubsequencePattern, _letter_outcomes, pattern_acceptor
 
 if TYPE_CHECKING:
     import numpy as np
@@ -245,6 +246,27 @@ class MeasureOnlyAutomaton:
     def dimension(self) -> int:
         return self.initial.shape[0]
 
+    def sparse(self) -> SparseAcceptor:
+        """The acceptor as the nonzero entries of its vector and matrices,
+        each a Python complex.  Its observables were checked within `EPS`
+        when they were built; the exact law check is not run on them."""
+
+        def outcomes(obs: Observable):
+            found = []
+            for label, p in obs.outcomes:
+                rows, cols = p.nonzero()
+                where = zip(rows.tolist(), cols.tolist())
+                found.append((label, dict(zip(where, p[rows, cols].tolist()))))
+            return tuple(found)
+
+        return SparseAcceptor(
+            self.alphabet,
+            tuple(self.initial.tolist()),
+            {sym: outcomes(self.observables[sym]) for sym in self.alphabet},
+            outcomes(self.end_observable),
+            self.accepting,
+        )
+
     def accepting_projector(self) -> np.ndarray:
         """Sum of the projectors of the accepting end-word outcomes."""
         import numpy as np
@@ -289,40 +311,40 @@ def acceptance_probabilities(auto: MeasureOnlyAutomaton, words: Iterable[Word]) 
 # the pattern acceptor
 
 
+def _matrix(d: int, entries) -> np.ndarray:
+    """The read-only d x d complex matrix with the given nonzero entries."""
+    import numpy as np
+    m = np.zeros((d, d), dtype=np.complex128)
+    if entries:
+        m[tuple(zip(*entries))] = list(entries.values())
+    m.setflags(write=False)
+    return m
+
+
 def up_projector(pattern: SubsequencePattern, letter: str) -> np.ndarray:
     """(k+1)x(k+1) "advance" projector of a pattern letter.
 
     With j ranging over the 1-based positions of `letter` in the pattern, the
     entry at (r, s) is 1/2 whenever both r and s lie in a block {j, j+1}, 1 on
-    the diagonal outside every block, and 0 elsewhere.  Blocks of one letter
-    never overlap because adjacent pattern letters differ.
+    the diagonal outside every block, and 0 elsewhere.  Raises PatternError
+    for a letter outside the pattern.
     """
-    import numpy as np
-    k = len(pattern.letters)
-    d = k + 1
-    p = np.zeros((d, d), dtype=np.complex128)
-    covered = set()
-    for j in pattern.occurrence_positions(letter):
-        p[j - 1 : j + 1, j - 1 : j + 1] = 0.5
-        covered.update((j, j + 1))
-    for r in range(1, d + 1):
-        if r not in covered:
-            p[r - 1, r - 1] = 1.0
-    p.setflags(write=False)
-    return p
+    pattern.occurrence_positions(letter)
+    (_, up), _ = _letter_outcomes(pattern, letter)
+    return _matrix(len(pattern.letters) + 1, up)
 
 
 def down_projector(pattern: SubsequencePattern, letter: str) -> np.ndarray:
     """Orthogonal complement of `up_projector`: +1/2 on each block diagonal,
     -1/2 on the block off-diagonals, 0 everywhere else."""
-    import numpy as np
-    p = np.eye(len(pattern.letters) + 1) - up_projector(pattern, letter)
-    p.setflags(write=False)
-    return p
+    pattern.occurrence_positions(letter)
+    _, (_, down) = _letter_outcomes(pattern, letter)
+    return _matrix(len(pattern.letters) + 1, down)
 
 
 def pattern_automaton(pattern: SubsequencePattern) -> MeasureOnlyAutomaton:
-    """Measurement-only acceptor for the pattern's shuffle ideal.
+    """Measurement-only acceptor for the pattern's shuffle ideal: the matrices
+    of `moqfa.patterns.pattern_acceptor`, entry for entry.
 
     Dimension k+1; the initial state is the first basis vector; every pattern
     letter carries its up/down projector pair, other letters the identity
@@ -330,29 +352,18 @@ def pattern_automaton(pattern: SubsequencePattern) -> MeasureOnlyAutomaton:
     state.  The empty pattern yields the 1-dimensional acceptor with constant
     acceptance probability 1.
     """
-    import numpy as np
-    k = len(pattern.letters)
-    d = k + 1
-    in_pattern = set(pattern.letters)
-    observables = {}
-    for sym in pattern.alphabet:
-        if sym in in_pattern:
-            observables[sym] = Observable(
-                d,
-                (
-                    ("up", up_projector(pattern, sym)),
-                    ("down", down_projector(pattern, sym)),
-                ),
-            )
-        else:
-            observables[sym] = identity_observable(d)
-    final = np.zeros((d, d), dtype=np.complex128)
-    final[d - 1, d - 1] = 1.0
-    end = Observable(d, (("accept", final), ("reject", np.eye(d) - final)))
-    initial = np.zeros(d, dtype=np.complex128)
-    initial[0] = 1.0
+    acceptor = pattern_acceptor(pattern)
+    d = acceptor.dimension
+
+    def observable(outcomes) -> Observable:
+        return Observable(d, ((label, _matrix(d, p)) for label, p in outcomes))
+
     return MeasureOnlyAutomaton(
-        pattern.alphabet, initial, observables, end, frozenset({"accept"})
+        acceptor.alphabet,
+        acceptor.initial,
+        {sym: observable(acceptor.observables[sym]) for sym in acceptor.alphabet},
+        observable(acceptor.end_observable),
+        acceptor.accepting,
     )
 
 

@@ -33,6 +33,7 @@ from moqfa import (
     is_r_trivial,
     minimize,
     monoid_oracle,
+    pattern_automaton,
     pattern_dfa,
     product,
     random_dfa,
@@ -387,6 +388,20 @@ def test_verify_time_does_not_grow_as_the_cube_of_the_dimension():
     assert child.stdout.splitlines() == ["True 1 True"], child.stderr
 
 
+def _walk_instead(monkeypatch, broken):
+    """Make verify_construction walk broken(pattern_automaton(p)), read into
+    the sparse form by `MeasureOnlyAutomaton.sparse`; returns the list of
+    acceptors read, so a test can show that its acceptor was walked."""
+    read = []
+
+    def acceptor(p):
+        read.append(broken(pattern_automaton(p)))
+        return read[-1].sparse()
+
+    monkeypatch.setattr(decision, "pattern_acceptor", acceptor)
+    return read
+
+
 def _with_accepting(auto, accepting):
     return MeasureOnlyAutomaton(
         auto.alphabet, auto.initial, auto.observables, auto.end_observable, accepting
@@ -398,11 +413,9 @@ def test_verify_lists_every_failing_word_of_a_broken_acceptor(
     monkeypatch, letters, alphabet, max_len
 ):
     # accepting on "reject" gives probability 1 - p, so most words are misclassified
-    real = decision.pattern_automaton
-    monkeypatch.setattr(
-        decision, "pattern_automaton", lambda p: _with_accepting(real(p), {"reject"})
-    )
+    read = _walk_instead(monkeypatch, lambda auto: _with_accepting(auto, {"reject"}))
     report = verify_construction(SubsequencePattern(letters, alphabet), max_len)
+    assert [auto.accepting for auto in read] == [{"reject"}]
     lam = Fraction(1, 2 ** (2 * len(letters) + 1))
     wrong, close = [], []
     for word in support.words_up_to(alphabet, max_len):
@@ -480,10 +493,10 @@ def test_verify_refuses_a_non_diagonal_acceptor(monkeypatch, fix_initial, culpri
         unitary[0, :] = unitary[:, 0] = 0
         unitary[0, 0] = 1
         unitary[1:, 1:], _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    real = decision.pattern_automaton
-    monkeypatch.setattr(decision, "pattern_automaton", lambda p: _conjugated(real(p), unitary))
+    read = _walk_instead(monkeypatch, lambda auto: _conjugated(auto, unitary))
     with pytest.raises(ValueError, match=f"{culprit} is not diagonal"):
         verify_construction(SubsequencePattern("ab", "abc"), 3)
+    assert len(read) == 1
 
 
 @pytest.mark.parametrize(
@@ -498,30 +511,28 @@ def test_verify_accepts_complex_entries_whose_channel_stays_diagonal(
     # negate the accepting entry of every state
     pattern = SubsequencePattern(letters, alphabet)
     expected = verify_construction(pattern, 6)
-    real = decision.pattern_automaton
     unitary = np.diag(phases)
-    monkeypatch.setattr(decision, "pattern_automaton", lambda p: _conjugated(real(p), unitary))
+    read = _walk_instead(monkeypatch, lambda auto: _conjugated(auto, unitary))
     assert verify_construction(pattern, 6) == expected
+    assert len(read) == 1
+    assert any(p.imag.any() for obs in read[0].observables.values() for _, p in obs.outcomes)
 
 
 def test_verify_refuses_a_real_channel_that_leaves_the_diagonal(monkeypatch):
     # a real rotation of basis states 1 and 2: every entry stays real, so only
     # the off-diagonal entries of a letter's images show the fault
     unitary = np.array([[1, 0, 0], [0, 0.6, -0.8], [0, 0.8, 0.6]])
-    real = decision.pattern_automaton
-    monkeypatch.setattr(decision, "pattern_automaton", lambda p: _conjugated(real(p), unitary))
+    read = _walk_instead(monkeypatch, lambda auto: _conjugated(auto, unitary))
     with pytest.raises(ValueError, match="channel of 'a' is not diagonal"):
         verify_construction(SubsequencePattern("ab", "abc"), 3)
+    assert len(read) == 1
 
 
 def test_verify_refuses_imaginary_parts_within_the_tolerance(monkeypatch):
     # an up projector of 'a' off by 1e-12j in one entry, with down = I - up,
     # is a valid observable whose images of basis states stay diagonal but
     # gain imaginary parts: the exact walk refuses them instead of dropping them
-    real = decision.pattern_automaton
-
-    def perturbed(p):
-        auto = real(p)
+    def perturbed(auto):
         up = auto.observables["a"].outcomes[0][1].copy()
         up[0, 1] += 1e-12j
         obs = Observable(auto.dimension, (("up", up), ("down", np.eye(auto.dimension) - up)))
@@ -533,9 +544,10 @@ def test_verify_refuses_imaginary_parts_within_the_tolerance(monkeypatch):
             auto.accepting,
         )
 
-    monkeypatch.setattr(decision, "pattern_automaton", perturbed)
+    read = _walk_instead(monkeypatch, perturbed)
     with pytest.raises(ValueError, match="channel of 'a' is not diagonal"):
         verify_construction(SubsequencePattern("ab", "abc"), 3)
+    assert len(read) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from moqfa import (
     identity_observable,
     measure,
     parse_automaton,
+    pattern_acceptor,
     pattern_automaton,
     recognizes_with_cutpoint,
     up_projector,
@@ -395,6 +396,107 @@ def test_observable_laws_hold_up_to_length_eight():
             assert validate_observable(obs) == []
 
 
+def _nonzero_entries(matrix):
+    rows, cols = np.nonzero(matrix)
+    return dict(zip(zip(rows.tolist(), cols.tolist()), matrix[rows, cols].tolist()))
+
+
+def _assert_holds_the_entries_of(auto, acceptor):
+    assert (auto.alphabet, auto.accepting) == (acceptor.alphabet, acceptor.accepting)
+    assert auto.initial.tolist() == list(acceptor.initial)
+    assert set(auto.observables) == set(acceptor.observables)
+    pairs = [(auto.observables[sym], acceptor.observables[sym]) for sym in acceptor.alphabet]
+    for obs, outcomes in pairs + [(auto.end_observable, acceptor.end_observable)]:
+        assert obs.labels() == tuple(label for label, _ in outcomes)
+        for (_, matrix), (_, entries) in zip(obs.outcomes, outcomes):
+            # exact dyadics, held as Python ints and floats, and only nonzero ones
+            assert all(type(x) in (int, float) and x for x in entries.values())
+            assert _nonzero_entries(matrix) == entries
+
+
+@pytest.mark.parametrize(
+    "matrices",
+    [pattern_automaton, lambda p: parse_automaton(format_automaton(pattern_automaton(p)))],
+    ids=["rendered", "emitted_and_parsed"],
+)
+def test_the_sparse_form_is_the_emitted_acceptor_entry_for_entry(matrices):
+    # verify walks the sparse form, synth --emit writes the matrices: they
+    # must be one acceptor, also at lengths in the hundreds
+    patterns = [p for alphabet in ("ab", "abc", "abcd") for p in support.patterns_up_to(5, alphabet)]
+    assert len(patterns) == 590
+    patterns += [pattern("ab" * 100, "abc"), pattern("ab" * 268, "ab")]
+    for p in patterns:
+        _assert_holds_the_entries_of(matrices(p), pattern_acceptor(p))
+
+
+def _with_entries(acceptor, sym, index, change):
+    """`acceptor` with outcome `index` of `sym` (None: of the end-word
+    observable) updated by `change`, where a value of None drops the entry."""
+    outcomes = acceptor.end_observable if sym is None else acceptor.observables[sym]
+    label, entries = outcomes[index]
+    entries = {rc: x for rc, x in {**entries, **change}.items() if x is not None}
+    outcomes = outcomes[:index] + ((label, entries),) + outcomes[index + 1 :]
+    if sym is None:
+        return acceptor._replace(end_observable=outcomes)
+    return acceptor._replace(observables={**acceptor.observables, sym: outcomes})
+
+
+@pytest.mark.parametrize(
+    "mutate, problem",
+    [
+        (
+            lambda f: _with_entries(f, "a", 0, {(0, 0): 0.25}),
+            "observable 'a': projectors do not sum to the identity",
+        ),
+        (
+            lambda f: _with_entries(_with_entries(f, "a", 0, {(0, 0): 0.25}), "a", 1, {(0, 0): 0.75}),
+            "observable 'a': 'up' and 'down' are not orthogonal",
+        ),
+        (
+            lambda f: _with_entries(f, "b", 1, {(1, 2): 0.5}),
+            "observable 'b': projector 'down' is not Hermitian",
+        ),
+        (
+            lambda f: _with_entries(f, "c", 0, {(1, 1): None}),
+            "observable 'c': projectors do not sum to the identity",
+        ),
+        (
+            lambda f: _with_entries(f, None, 1, {(0, 0): None}),
+            "end-observable: projectors do not sum to the identity",
+        ),
+        (lambda f: f._replace(initial=(0.5, 0.5, 0.5)), "the initial amplitudes do not have unit norm"),
+    ],
+    ids=[
+        "up_block_quarter",
+        "up_and_down_quarters",
+        "down_sign",
+        "pass_entry_dropped",
+        "end_incomplete",
+        "initial_norm",
+    ],
+)
+def test_the_exact_law_check_refuses_a_broken_form(mutate, problem):
+    good = pattern_acceptor(pattern("ab", "abc"))
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        mutate(good).check_laws()
+    good.check_laws()
+
+
+def test_the_pattern_form_is_checked_where_it_is_written(monkeypatch):
+    # verify reads no matrix, so the exact check is its one check of the laws
+    written = moqfa.patterns._letter_outcomes
+
+    def quartered(p, sym):
+        (up_label, up), (down_label, down) = written(p, sym)
+        return (up_label, {**up, (0, 0): 0.25}), (down_label, {**down, (0, 0): 0.75})
+
+    monkeypatch.setattr(moqfa.patterns, "_letter_outcomes", quartered)
+    with pytest.raises(ValueError, match="'up' and 'down' are not orthogonal"):
+        pattern_acceptor(pattern("a", "a"))
+    with pytest.raises(ValueError, match="'up' and 'down' are not orthogonal"):
+        moqfa.verify_construction(pattern("a", "a"), 2)
+
+
 def test_automaton_constructor_validations():
     good = pattern_automaton(pattern("a", "ab"))
     with pytest.raises(ValueError):
@@ -639,6 +741,25 @@ def test_dfa_commands_never_execute_numpy(tmp_path):
     )
     child = _child(["-c", script], cwd=tmp_path)
     assert child.stdout.splitlines()[-1] == "[0, 0, 0, 0] False", child.stderr
+
+
+@pytest.mark.parametrize(
+    "call, loads",
+    [
+        ("moqfa.verify_construction(moqfa.SubsequencePattern('abcab', 'abcd'), 5)", False),
+        ("main(['verify', '--letters', 'a', 'b', '--alphabet', 'abc', '--maxlen', '4'])", False),
+        ("main(['synth', '--letters', 'a', 'b', '--alphabet', 'abc'])", False),
+        ("main(['synth', '--letters', 'a', 'b', '--alphabet', 'abc', '--emit', 'ab.qfa'])", True),
+        ("main(['prob', '--letters', 'a', 'b', '--alphabet', 'abc', '--word', 'ab'])", True),
+    ],
+    ids=["verify_construction", "verify", "synth", "synth_emit", "prob"],
+)
+def test_only_matrices_execute_numpy(call, loads, tmp_path):
+    # verify and synth read the pattern acceptor's sparse form; the emitted
+    # text and prob's probabilities need its matrices
+    script = f"import sys, moqfa\nfrom moqfa.cli import main\n{call}\nprint('numpy' in sys.modules)\n"
+    child = _child(["-c", script], cwd=tmp_path)
+    assert child.stdout.splitlines()[-1:] == [str(loads)], child.stderr
 
 
 def test_numpy_imported_after_moqfa_is_the_module_moqfa_uses():
