@@ -282,26 +282,23 @@ def _refine_partition(cols: list[list[int]], accepting: list[bool]) -> list[int]
     m = len(accepting)
     cls, old = _first_appearance(accepting)
     while True:
-        prev = cls
-        cls, new = _first_appearance(list(zip(prev, *(map(prev.__getitem__, col) for col in cols))))
+        cls, new = _first_appearance(list(zip(cls, *(map(cls.__getitem__, col) for col in cols))))
         if new == old:
             return cls
         if new - old < min(old, m - new):
             # numbered once Hopcroft's tables are freed
-            return _first_appearance(_hopcroft(cols, cls, new, prev))[0]
+            return _first_appearance(_hopcroft(cols, cls, new))[0]
         old = new
 
 
-def _hopcroft(cols: list[list[int]], cls: list[int], count: int, prev: list[int]) -> list[int]:
-    """Hopcroft's refinement of the `count` classes `cls`, which a Moore round
-    made out of `prev`, to the coarsest stable partition, as each position's
-    block.
+def _hopcroft(cols: list[list[int]], cls: list[int], count: int) -> list[int]:
+    """Hopcroft's refinement of any partition, the `count` classes `cls`, to
+    the coarsest stable partition, as each position's block.
 
-    The round leaves cls stable with respect to every class of prev, as if
-    each had been a splitter.  So the worklist starts with every class but
-    the largest child of each class of prev, which is its parent less its
-    queued siblings: Hopcroft's own invariant, and no queued class is more
-    than half its parent, so the smaller-half bound holds."""
+    The worklist starts with every class but the largest: a partition stable
+    with respect to all its classes but one is stable with respect to the
+    last, since every position has a successor in their union.  Each split
+    then queues its smaller half, so the O(kn log n) bound holds."""
     # inv[c][t]: the positions whose successor on letter c is t
     inv = [[[] for _ in cls] for _ in cols]
     for col, back in zip(cols, inv):
@@ -310,10 +307,8 @@ def _hopcroft(cols: list[list[int]], cls: list[int], count: int, prev: list[int]
     blocks = [set() for _ in range(count)]
     for p, b in enumerate(cls):
         blocks[b].add(p)
-    parent = dict(zip(cls, prev))
-    by_size = sorted(range(count), key=lambda b: len(blocks[b]))
-    largest = dict(zip(map(parent.__getitem__, by_size), by_size))  # the last, largest child wins
-    work = set(range(count)).difference(largest.values())
+    work = set(range(count))
+    work.remove(max(work, key=lambda b: len(blocks[b])))
     block_of = cls  # refined in place
     while work:
         bi = work.pop()

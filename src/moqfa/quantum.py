@@ -44,7 +44,7 @@ def _frozen_matrix(entries) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """A finite family of labelled projectors that sum to the identity.
 
@@ -134,7 +134,7 @@ def validate_observable(obs: Observable) -> list[str]:
     return report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, trace-one state matrix."""
 
@@ -196,7 +196,7 @@ def measure(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
     return DensityMatrix(_channel(_stack(obs), rho.matrix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureOnlyAutomaton:
     """Word acceptor driven purely by projective measurements.
 
@@ -284,27 +284,21 @@ def acceptance_probability(auto: MeasureOnlyAutomaton, word: Word) -> float:
 
 def acceptance_probabilities(auto: MeasureOnlyAutomaton, words: Iterable[Word]) -> Iterator[float]:
     """Acceptance probability of each word in turn, clamped to [0, 1], on raw
-    arrays.  Each word starts from the state of the prefix it shares with the
-    previous word, so a word list in length-lexicographic order costs a few
-    channels per word.  An unknown symbol raises ValueError when reached.
+    arrays.  Each word starts from the initial state, and only its current
+    d x d state is kept.  An unknown symbol raises ValueError when reached.
     """
     import numpy as np
     channels = {sym: _stack(obs) for sym, obs in auto.observables.items()}
     accepting = auto.accepting_projector()
-    # states[i] is the state after the first i letters of `previous`
-    previous, states = (), [np.outer(auto.initial.conj(), auto.initial)]
-    for word in map(tuple, words):
-        shared, limit = 0, min(len(word), len(previous))
-        while shared < limit and word[shared] == previous[shared]:
-            shared += 1
-        del states[shared + 1 :]
-        for sym in word[shared:]:
+    start = np.outer(auto.initial.conj(), auto.initial)
+    for word in words:
+        rho = start
+        for sym in word:
             stack = channels.get(sym)
             if stack is None:
                 raise ValueError(f"symbol {sym!r} is not in the alphabet")
-            states.append(_channel(stack, states[-1]))
-        previous = word
-        yield min(1.0, max(0.0, float(np.trace(accepting @ states[-1]).real)))
+            rho = _channel(stack, rho)
+        yield min(1.0, max(0.0, float(np.trace(accepting @ rho).real)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +414,10 @@ def recognizes_with_cutpoint(
         raise ValueError("isolation radius must be positive")
     if math.isnan(cutpoint):
         raise ValueError("cut point must not be NaN")
-    words, evaluated = itertools.tee(map(tuple, words))
+    words = list(map(tuple, words))
     checks = tuple(
         WordCheck(word, p, bool(member(word)), p > cutpoint, abs(p - cutpoint) >= isolation - EPS)
-        for word, p in zip(words, acceptance_probabilities(auto, evaluated))
+        for word, p in zip(words, acceptance_probabilities(auto, words))
     )
     return CutpointReport(cutpoint, isolation, checks)
 

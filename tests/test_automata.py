@@ -391,6 +391,60 @@ def test_long_counters_and_chains_take_one_moore_round(build):
     assert hopcroft and rounds == [2, 3]
 
 
+def hopcroft_blocks(d: Dfa, initial_block) -> tuple[list[int], list[int], list[list[int]]]:
+    """d's reachable states in BFS order, `_hopcroft` run on them from the
+    partition that numbers state q by initial_block(q), and the columns."""
+    order = _bfs_discovery(d, d.initial)
+    pos = {q: i for i, q in enumerate(order)}
+    cols = [[pos[d.transitions[q][c]] for q in order] for c in range(len(d.alphabet))]
+    cls, count = automata._first_appearance([initial_block(q) for q in order])
+    return order, automata._hopcroft(cols, cls, count), cols
+
+
+def naive_stable_refinement(cols: list[list[int]], cls: list[int]) -> list[int]:
+    """Split the classes by their successors' classes until nothing splits."""
+    while True:
+        keys = [(cls[p],) + tuple(cls[col[p]] for col in cols) for p in range(len(cls))]
+        number = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        if len(number) == len(set(cls)):
+            return cls
+        cls = [number[key] for key in keys]
+
+
+def same_partition(a: list[int], b: list[int]) -> bool:
+    return len(set(a)) == len(set(b)) == len(set(zip(a, b)))
+
+
+def test_hopcroft_refines_a_partition_no_moore_round_made():
+    # the accepting split goes to Hopcroft's worklist directly, so its
+    # seeding cannot rely on a Moore round's stability
+    corpus = [d for _, d in refinement_inputs()]
+    for seed in range(180):
+        n = seed % 20 + 1
+        corpus.append(random_dfa(seed, n, "ab" if seed % 3 else "abc"))
+        corpus.append(random_partially_ordered_dfa(seed, n, "abc" if seed % 3 else "ab"))
+        corpus.append(doubled(random_dfa(seed, n % 8 + 1, "ab"), seed))
+    corpus += [pattern_dfa(p) for p in support.patterns_up_to(3, "abc")]
+    corpus += [doubled(pattern_dfa(p), k) for k, p in enumerate(support.patterns_up_to(4, "ab"))]
+    assert len(corpus) >= 600
+    for d in corpus:
+        order, blocks, _ = hopcroft_blocks(d, d.accepting.__contains__)
+        _, class_of = oracles.table_filling_classes(
+            d.state_count, len(d.alphabet), d.transitions, d.initial, d.accepting
+        )
+        assert same_partition(blocks, [class_of[q] for q in order])
+
+
+def test_hopcroft_refines_an_arbitrary_partition_to_its_coarsest_stable_one():
+    rng = random.Random(22)
+    for seed in range(200):
+        d = random_dfa(seed, seed % 25 + 1, "ab" if seed % 2 else "abc")
+        labels = [rng.randrange(seed % 4 + 1) for _ in range(d.state_count)]
+        order, blocks, cols = hopcroft_blocks(d, labels.__getitem__)
+        start = automata._first_appearance([labels[q] for q in order])[0]
+        assert same_partition(blocks, naive_stable_refinement(cols, start))
+
+
 # ---------------------------------------------------------------------------
 # shuffle-ideal DFAs
 

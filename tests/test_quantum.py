@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -353,6 +354,32 @@ def test_acceptance_probabilities_reject_a_foreign_symbol_in_a_later_word():
     assert next(probabilities) == acceptance_probability(auto, "a")
     with pytest.raises(ValueError, match="'x'"):
         next(probabilities)
+
+
+def test_evaluation_memory_does_not_grow_with_the_word():
+    auto = pattern_automaton(pattern("ab" * 16, "ab"))  # d = 33
+    word = "ab" * 2500
+    tracemalloc.start()
+    try:
+        acceptance_probability(auto, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 20 states of 33 x 33 complex entries; keeping every prefix's state
+    # would take 5,000 of them
+    assert peak < 20 * 33 * 33 * 16
+
+
+def test_acceptors_compare_and_hash_by_identity():
+    p = pattern("ab", "abc")
+    a, b = pattern_automaton(p), pattern_automaton(p)
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert a in [b, a] and len({a, b}) == 2
+    obs = a.observables["a"]
+    assert obs == obs and obs != b.observables["a"] and obs in {obs}
+    rho = DensityMatrix.pure(a.initial)
+    assert rho == rho and rho != DensityMatrix.pure(a.initial) and rho in {rho}
 
 
 def test_pattern_acceptors_agree_with_the_exact_oracle():
