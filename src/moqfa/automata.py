@@ -6,7 +6,8 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Sequence
 
@@ -29,7 +30,6 @@ class Dfa:
     transitions: tuple[tuple[int, ...], ...]
     initial: int
     accepting: frozenset[int]
-    _symbol_index: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, alphabet, transitions, initial, accepting):
         alphabet = _check_alphabet(alphabet)
@@ -55,11 +55,37 @@ class Dfa:
         object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "accepting", accepting)
-        object.__setattr__(self, "_symbol_index", {s: i for i, s in enumerate(alphabet)})
 
     @property
     def state_count(self) -> int:
         return len(self.transitions)
+
+    @cached_property
+    def _symbol_index(self) -> dict[str, int]:
+        return {s: i for i, s in enumerate(self.alphabet)}
+
+    @cached_property
+    def _change_order(self) -> tuple[int, ...] | None:
+        """Reachable states in topological order of the change graph (the
+        state-changing transitions), by Kahn's algorithm; None on a cycle."""
+        reachable = _reachable_order(self)
+        trans = self.transitions
+        indegree = dict.fromkeys(reachable, 0)
+        for q in reachable:
+            for t in trans[q]:
+                if t != q:
+                    indegree[t] += 1
+        ready = deque(sorted(q for q, d in indegree.items() if d == 0))
+        order = []
+        while ready:
+            q = ready.popleft()
+            order.append(q)
+            for t in trans[q]:
+                if t != q:
+                    indegree[t] -= 1
+                    if indegree[t] == 0:
+                        ready.append(t)
+        return tuple(order) if len(order) == len(reachable) else None
 
     def symbol_index(self, symbol: str) -> int:
         try:
@@ -490,32 +516,9 @@ def variation(dfa: Dfa, word: Word) -> int:
     return changes
 
 
-def _acyclic_order(dfa: Dfa) -> list[int] | None:
-    """Reachable states in topological order of the change graph (the
-    state-changing transitions), by Kahn's algorithm; None on a cycle."""
-    reachable = _reachable_order(dfa)
-    trans = dfa.transitions
-    indegree = dict.fromkeys(reachable, 0)
-    for q in reachable:
-        for t in trans[q]:
-            if t != q:
-                indegree[t] += 1
-    ready = deque(sorted(q for q, d in indegree.items() if d == 0))
-    order = []
-    while ready:
-        q = ready.popleft()
-        order.append(q)
-        for t in trans[q]:
-            if t != q:
-                indegree[t] -= 1
-                if indegree[t] == 0:
-                    ready.append(t)
-    return order if len(order) == len(reachable) else None
-
-
 def is_partially_ordered(dfa: Dfa) -> bool:
     """True iff the only cycles among reachable states are self-loops."""
-    return _acyclic_order(dfa) is not None
+    return dfa._change_order is not None
 
 
 def sup_variation(dfa: Dfa) -> int | float:
@@ -532,7 +535,7 @@ def sup_variation_witness(dfa: Dfa) -> tuple[str, ...] | None:
 
 
 def _longest_change_path(dfa: Dfa) -> tuple[int | float, tuple[str, ...] | None]:
-    order = _acyclic_order(dfa)
+    order = dfa._change_order
     if order is None:
         return math.inf, None
     # the initial state is the only source, so it comes first and every later

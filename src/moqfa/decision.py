@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .algebra import DEFAULT_ELEMENT_CAP, is_j_trivial, letters_idempotent, transition_monoid
-from .automata import Dfa, _acyclic_order, is_literally_idempotent, is_partially_ordered, minimize
+from .automata import Dfa, is_literally_idempotent, is_partially_ordered, minimize
 from .errors import ResourceLimitError
 from .patterns import SubsequencePattern, pattern_acceptor
 # `measure` is unused here; it stays a module attribute because the verify
@@ -48,14 +48,11 @@ def is_piecewise_testable(min_dfa: Dfa) -> bool:
     characterization of piecewise testable languages", DLT 2013), the
     language is piecewise testable iff its minimal DFA is acyclic (the only
     cycles are self-loops) and locally confluent: for every state q and
-    letters a, b some w in {a, b}* has q.aw = q.bw.  Both are checked by one
-    topological sort and one O(|alphabet|^2 * n) sweep in
+    letters a, b some w in {a, b}* has q.aw = q.bw.  Both are checked by the
+    DFA's cached topological sort and the O(|alphabet|^2 * n) sweep of
     `confluence_violation`.
     """
-    try:
-        return confluence_violation(min_dfa) is None
-    except ValueError:  # a non-trivial cycle
-        return False
+    return min_dfa._change_order is not None and confluence_violation(min_dfa) is None
 
 
 def confluence_violation(min_dfa: Dfa) -> tuple[int, str, str] | None:
@@ -66,7 +63,7 @@ def confluence_violation(min_dfa: Dfa) -> tuple[int, str, str] | None:
     alphabet order, states from the sinks backwards.  Raises ValueError when
     the DFA has a non-trivial cycle.
     """
-    order = _acyclic_order(min_dfa)
+    order = min_dfa._change_order
     if order is None:
         raise ValueError("local confluence is decided on partially ordered DFAs only")
     # In an acyclic DFA the {a, b}-steps terminate, so by Newman's lemma local

@@ -12,6 +12,7 @@ from moqfa import (
     MeasureOnlyAutomaton,
     Observable,
     SubsequencePattern,
+    automata,
     random_dfa,
 )
 
@@ -25,6 +26,20 @@ def exhaustive_dfas(n_states: int, alphabet: str, initials=(0,)):
             accepting = {q for q in range(n_states) if bits >> q & 1}
             for initial in initials:
                 yield Dfa(alphabet, rows, initial, accepting)
+
+
+def count_reachable_passes(monkeypatch) -> list[Dfa]:
+    """Wrap automata._reachable_order and return the list of the DFAs it is
+    called on: `minimize`, `is_empty` and the change order call it once each."""
+    calls = []
+    original = automata._reachable_order
+
+    def counted(dfa):
+        calls.append(dfa)
+        return original(dfa)
+
+    monkeypatch.setattr(automata, "_reachable_order", counted)
+    return calls
 
 
 @lru_cache(maxsize=None)

@@ -595,6 +595,28 @@ def test_sup_variation_longest_path():
     assert sup_variation_witness(chain) == ("a", "b", "a")
 
 
+def test_sup_variation_and_its_witness_share_one_traversal(monkeypatch):
+    chain = pattern_dfa(SubsequencePattern(("a", "b", "a"), ("a", "b")))
+    calls = support.count_reachable_passes(monkeypatch)
+    assert sup_variation(chain) == 3
+    assert sup_variation_witness(chain) == ("a", "b", "a")
+    assert is_partially_ordered(chain)
+    assert calls == [chain]
+
+
+def test_cached_facts_stay_out_of_equality_hash_and_repr():
+    read, unread = contains_a(), contains_a()
+    assert sup_variation(read) == 1 and read.symbol_index("b") == 1
+    assert {"_change_order", "_symbol_index"} <= vars(read).keys()
+    assert not {"_change_order", "_symbol_index"} & vars(unread).keys()
+    assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
+    assert len({read, unread}) == 1
+    with pytest.raises(ValueError, match="not in the alphabet"):
+        read.symbol_index("c")
+    with pytest.raises(ValueError, match="not in the alphabet"):
+        unread.symbol_index("c")
+
+
 @given(d=dfas())
 @settings(max_examples=120, deadline=None)
 def test_variation_is_bounded_by_sup_and_witness_attains_it(d):

@@ -181,6 +181,25 @@ def test_ten_thousand_state_member_and_planted_fork():
     assert_confluence_witness(m, witness)
 
 
+@pytest.mark.parametrize(
+    "build, verdict",
+    [
+        (lambda: pattern_dfa(SubsequencePattern(("a", "b") * 50, "abc")), True),
+        (starts_with_a, False),
+    ],
+    ids=["member", "not-pt"],
+)
+def test_diagnose_traverses_each_change_graph_once(monkeypatch, build, verdict):
+    # one traversal of the input by minimize, one of the minimal DFA for the
+    # change order that is_partially_ordered and is_piecewise_testable share
+    d = build()
+    minimal = minimize(d)
+    calls = support.count_reachable_passes(monkeypatch)
+    result = diagnose(d)
+    assert result.partially_ordered and result.verdict == verdict
+    assert len(calls) == 2 and calls[0] is d and calls[1] == minimal
+
+
 def test_pt_agrees_with_monoid_on_exhaustive_three_state_dfas():
     mismatches = 0
     for d in support.exhaustive_dfas(3, "ab"):
