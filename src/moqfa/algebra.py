@@ -4,6 +4,10 @@ The transition monoid of a minimal DFA is the syntactic monoid of its
 language; elements are represented as canonical state-transformation tuples
 and discovered by breadth-first closure over words in length-lexicographic
 order, so element order and shortest witnesses are deterministic.
+Green's relations are tested without building their classes: the monoid is
+R-trivial (L-trivial) iff its right (left) Cayley graph has no cycle but
+self-loops (Brzozowski and Fich, "Languages of R-trivial monoids", 1980), and
+a block group iff its idempotents have pairwise distinct kernels and images.
 """
 
 from __future__ import annotations
@@ -116,89 +120,60 @@ def transition_monoid(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> 
 
 
 # ---------------------------------------------------------------------------
-# Green's relations via Cayley-graph strongly connected components
+# Green's relations, tested without building their classes
 
 
-def _strongly_connected_components(count: int, table: list[int], k: int) -> list[list[int]]:
-    """Iterative Tarjan; node i's successors are table[i*k : i*k+k].  A node in
-    a completed component gets order `count`, so it lowers no low value."""
-    order = [-1] * count
-    low = [0] * count
-    depth = [0] * count  # each node's position on `stack`, empty at each root
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(count):
-        if order[root] != -1:
-            continue
-        order[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        # the DFS path: each node and the table position of its next successor
-        path, next_pos = [root], [root * k]
-        while path:
-            node, pos = path[-1], next_pos[-1]
-            end = node * k + k
-            while pos < end:
-                nxt = table[pos]
-                pos += 1
-                seen = order[nxt]
-                if seen == -1:
-                    next_pos[-1] = pos
-                    order[nxt] = low[nxt] = counter
-                    counter += 1
-                    depth[nxt] = len(stack)
-                    stack.append(nxt)
-                    path.append(nxt)
-                    next_pos.append(nxt * k)
-                    break
-                if seen < low[node]:
-                    low[node] = seen
-            else:
-                path.pop()
-                next_pos.pop()
-                if path and low[node] < low[path[-1]]:
-                    low[path[-1]] = low[node]
-                if low[node] == order[node]:
-                    component = stack[depth[node] :]
-                    del stack[depth[node] :]
-                    for member in component:
-                        order[member] = count
-                    components.append(component)
-    return components
+def _acyclic(count: int, table: list[int], k: int) -> bool:
+    """True iff the graph whose node i has successors table[i*k : i*k+k] has
+    no cycle but self-loops: Kahn's algorithm, self-loops left out."""
+    indegree = [0] * count
+    for i in range(count):
+        for j in table[i * k : i * k + k]:
+            if j != i:
+                indegree[j] += 1
+    ready = [i for i in range(count) if not indegree[i]]
+    for i in ready:  # ready grows while it is read
+        for j in table[i * k : i * k + k]:
+            if j != i:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    ready.append(j)
+    return len(ready) == count
 
 
-def _green_classes(monoid: FiniteMonoid, side: str) -> list[list[int]]:
-    """R-classes (side "R": x ~ xg) or L-classes (side "L": x ~ gx), as lists of
-    element indices: strong components of the right Cayley graph the closure
-    recorded, or of the left one, read from it through the prefix links:
-    g times elements[x] is g times elements[prefix[x]], times the final[x]-th
-    generator (Froidure and Pin)."""
-    k, right = len(monoid.generator_map), monoid.right
-    table = right
-    if side == "L":
-        table = [0] * len(right)
-        prefix, final = monoid.prefix, monoid.final
-        for c in range(k):
-            left_c = [right[c]]  # g times the identity is g
-            for p, f in zip(islice(prefix, 1, None), islice(final, 1, None)):
-                left_c.append(right[left_c[p] * k + f])
-            table[c::k] = left_c
-    return _strongly_connected_components(len(monoid), table, k)
-
-
-def _one_idempotent_each(classes: list[list[int]], idempotent: list[bool]) -> bool:
-    return all(sum(idempotent[i] for i in c) <= 1 for c in classes)
+def _distinct_kernels_and_images(idempotents: list[Transformation]) -> bool:
+    """True iff no two idempotents share a kernel or an image.  For
+    idempotents e R f iff ef = f and fe = e, and e L f iff ef = e and fe = f
+    (Pin, Mathematical Foundations of Automata Theory, ch. V); composed left
+    to right, that is the same kernel and the same image."""
+    kernels, images = set(), set()
+    for e in idempotents:
+        first: dict[int, int] = {}  # each kernel class numbered by first appearance
+        kernels.add(tuple(first.setdefault(q, len(first)) for q in e))
+        images.add(frozenset(e))
+    return len(kernels) == len(images) == len(idempotents)
 
 
 def is_r_trivial(monoid: FiniteMonoid) -> bool:
-    """True iff distinct elements generate distinct right ideals (xM)."""
-    return len(_green_classes(monoid, "R")) == len(monoid)
+    """True iff distinct elements generate distinct right ideals (xM): R-classes
+    are the strong components of the right Cayley graph the closure recorded,
+    so all are singletons iff it has no cycle but self-loops."""
+    return _acyclic(len(monoid), monoid.right, len(monoid.generator_map))
 
 
 def is_l_trivial(monoid: FiniteMonoid) -> bool:
-    """True iff distinct elements generate distinct left ideals (Mx)."""
-    return len(_green_classes(monoid, "L")) == len(monoid)
+    """True iff distinct elements generate distinct left ideals (Mx): the left
+    Cayley graph has no cycle but self-loops.  It is read from the right one
+    through the prefix links: g times elements[x] is g times
+    elements[prefix[x]], times the final[x]-th generator (Froidure and Pin)."""
+    k, right = len(monoid.generator_map), monoid.right
+    left = [0] * len(right)
+    for c in range(k):
+        left_c = [right[c]]  # g times the identity is g
+        for p, f in zip(islice(monoid.prefix, 1, None), islice(monoid.final, 1, None)):
+            left_c.append(right[left_c[p] * k + f])
+        left[c::k] = left_c
+    return _acyclic(len(monoid), left, k)
 
 
 def is_j_trivial(monoid: FiniteMonoid) -> bool:
@@ -212,9 +187,7 @@ def is_j_trivial(monoid: FiniteMonoid) -> bool:
 
 def is_block_group(monoid: FiniteMonoid) -> bool:
     """True iff every R-class and every L-class holds at most one idempotent."""
-    idempotent = [_after(t)(t) == t for t in monoid.elements]
-    classes = _green_classes(monoid, "R") + _green_classes(monoid, "L")
-    return _one_idempotent_each(classes, idempotent)
+    return _distinct_kernels_and_images(monoid.idempotents())
 
 
 def letters_idempotent(monoid: FiniteMonoid) -> bool:
@@ -241,17 +214,16 @@ class GreenReport:
 
 
 def green_report(min_dfa: Dfa) -> GreenReport:
-    """All the tests from one R-class and one L-class computation."""
+    """All the tests on one closure, with the idempotents listed once."""
     monoid = transition_monoid(min_dfa)
-    right, left = _green_classes(monoid, "R"), _green_classes(monoid, "L")
-    idempotent = [_after(t)(t) == t for t in monoid.elements]
-    r_trivial, l_trivial = len(right) == len(monoid), len(left) == len(monoid)
+    r_trivial, l_trivial = is_r_trivial(monoid), is_l_trivial(monoid)
+    idempotents = monoid.idempotents()
     return GreenReport(
         monoid_size=len(monoid),
         r_trivial=r_trivial,
         l_trivial=l_trivial,
         j_trivial=r_trivial and l_trivial,
-        block_group=_one_idempotent_each(right + left, idempotent),
+        block_group=_distinct_kernels_and_images(idempotents),
         letters_idempotent=letters_idempotent(monoid),
-        idempotent_count=sum(idempotent),
+        idempotent_count=len(idempotents),
     )

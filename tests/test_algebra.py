@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,8 +189,8 @@ def test_green_predicates_agree_with_brute_force_ideals(seed, n, alphabet):
 
 
 def test_green_report_matches_the_standalone_predicates():
-    # green_report derives every field from one R-class and one L-class
-    # computation; each predicate below builds its own classes
+    # green_report runs each acyclicity test once and lists the idempotents
+    # once; each predicate below runs its own
     for d in support.random_corpus():
         minimal = minimize(d)
         m = transition_monoid(minimal)
@@ -241,13 +243,13 @@ def test_right_cayley_table_is_the_composition_with_each_generator():
 
 def test_prefix_links_spell_each_element_and_give_the_left_table(monkeypatch):
     tables = []
-    walk = algebra._strongly_connected_components
+    walk = algebra._acyclic
 
     def recording(count, table, k):
         tables.append(table)
         return walk(count, table, k)
 
-    monkeypatch.setattr(algebra, "_strongly_connected_components", recording)
+    monkeypatch.setattr(algebra, "_acyclic", recording)
     dfas = [minimize(d) for d in support.random_corpus()]
     for d in dfas + [_group_dfa(4, False), _group_dfa(3, True)]:
         m = transition_monoid(d)
@@ -257,7 +259,7 @@ def test_prefix_links_spell_each_element_and_give_the_left_table(monkeypatch):
             assert m.prefix[i] < i
             assert m.elements[i] == compose(m.elements[m.prefix[i]], gens[m.final[i]])
         tables.clear()
-        algebra._green_classes(m, "L")
+        is_l_trivial(m)
         assert tables == [[m.index[compose(g, x)] for x in m.elements for g in gens]]
 
 
@@ -275,8 +277,7 @@ def test_words_are_spelled_only_when_read(monkeypatch):
         green_report(d)
         m = built[-1]
         assert "shortest_witness" not in vars(m)
-        algebra._green_classes(m, "R")
-        algebra._green_classes(m, "L")
+        is_r_trivial(m), is_l_trivial(m), is_j_trivial(m), is_block_group(m)
         assert "shortest_witness" not in vars(m)
         assert m.shortest_witness is m.shortest_witness
         assert len(m.shortest_witness) == len(m)
@@ -299,12 +300,50 @@ def _group_dfa(n: int, full: bool) -> Dfa:
     return Dfa("abc"[: len(gens)], [tuple(g[q] for g in gens) for q in range(n)], 0, {0})
 
 
-@pytest.mark.parametrize("n, full, size", [(4, False, 24), (3, True, 27)])
-def test_green_classes_of_s4_and_t3_match_brute_force_ideals(n, full, size):
+@pytest.mark.parametrize(
+    "n, full, size, block_group", [(4, False, 24, True), (3, True, 27, False)]
+)
+def test_green_predicates_of_s4_and_t3_match_brute_force_ideals(n, full, size, block_group):
     m = transition_monoid(_group_dfa(n, full))
     assert len(m) == size
-    right, left, _ = oracles.brute_green_classes(m.elements)
-    for side, ideals in (("R", right), ("L", left)):
-        classes = {frozenset(m.elements[i] for i in c) for c in algebra._green_classes(m, side)}
-        expected = {frozenset(x for x in m.elements if ideals[x] == ideals[y]) for y in m.elements}
-        assert classes == expected
+    elements = list(m.elements)
+    right, left, two_sided = oracles.brute_green_classes(elements)
+
+    def trivial(ideals):
+        return len(set(ideals.values())) == len(elements)
+
+    expected = (trivial(right), trivial(left), trivial(two_sided))
+    assert expected + (oracles.brute_block_group(elements),) == (False, False, False, block_group)
+    assert (is_r_trivial(m), is_l_trivial(m), is_j_trivial(m), is_block_group(m)) == (
+        expected + (block_group,)
+    )
+
+
+def _monoids_for_the_idempotent_lemma():
+    yield transition_monoid(_group_dfa(4, False))
+    yield transition_monoid(_group_dfa(3, True))
+    for d in support.random_corpus():
+        m = transition_monoid(minimize(d))
+        if len(m) <= 70:  # keep the quadratic ideals cheap
+            yield m
+
+
+def test_idempotents_share_a_right_ideal_iff_a_kernel_and_a_left_ideal_iff_an_image():
+    # e R f iff ef = f and fe = e, e L f iff ef = e and fe = f (Pin, ch. V):
+    # composed left to right, the same kernel and the same image
+    seen = Counter()
+    for m in _monoids_for_the_idempotent_lemma():
+        elements = list(m.elements)
+        idempotents = [e for e in elements if tuple(e[q] for q in e) == e]
+        right = [{tuple(x[q] for q in e) for x in elements} for e in idempotents]
+        left = [{tuple(e[q] for q in x) for x in elements} for e in idempotents]
+        states = range(m.degree)
+        for i, e in enumerate(idempotents):
+            for j in range(i + 1, len(idempotents)):
+                f = idempotents[j]
+                kernel = all((e[p] == e[q]) == (f[p] == f[q]) for p in states for q in states)
+                image = set(e) == set(f)
+                assert (right[i] == right[j], left[i] == left[j]) == (kernel, image)
+                seen[kernel, image] += 1
+    # both relations hold on some pairs, never both at once on distinct idempotents
+    assert seen[True, False] > 100 and seen[False, True] > 100 and seen[True, True] == 0
