@@ -12,17 +12,16 @@ a block group iff its idempotents have pairwise distinct kernels and images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
+from typing import NamedTuple
 
 from .automata import Dfa
-from .errors import ResourceLimitError
+from .errors import DEFAULT_ELEMENT_CAP, ResourceLimitError
 
 Transformation = tuple[int, ...]
 
-DEFAULT_ELEMENT_CAP = 1_000_000
 _ENTRY_BUDGET = 2**26  # states in all elements together: about 512 MB of tuple slots
 
 
@@ -195,8 +194,7 @@ def letters_idempotent(monoid: FiniteMonoid) -> bool:
     return all(_after(t)(t) == t for t in monoid.generator_map.values())
 
 
-@dataclass(frozen=True)
-class GreenReport:
+class GreenReport(NamedTuple):
     """Summary of the pseudovariety membership tests for one monoid.
 
     J-triviality implies R- and L-triviality and the block-group property;

@@ -6,24 +6,23 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import Sequence
 
-from .errors import FormatError, _check_alphabet, _TokenLines
+from .errors import FormatError, _check_alphabet, _Frozen, _TokenLines
 from .patterns import SubsequencePattern
 
 Word = Sequence[str]
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(_Frozen):
     """Complete DFA over an ordered alphabet; states are 0..n-1.
 
     transitions[state][symbol_index] gives the successor state; the map must
     be total.  Instances are immutable, so structural equality of two
-    canonically minimized automata coincides with language equality.
+    canonically minimized automata coincides with language equality.  The
+    cached properties are not fields: ==, hash and repr ignore them.
     """
 
     alphabet: tuple[str, ...]

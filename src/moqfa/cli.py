@@ -9,22 +9,11 @@ runs for identical inputs.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from pathlib import Path
 
-from .algebra import green_report
-from .automata import minimize, parse_dfa, sup_variation, variation
-from .decision import DEFAULT_WORD_BUDGET, diagnose, verify_construction
-from .errors import ResourceLimitError
-from .patterns import SubsequencePattern, pattern_acceptor
-from .quantum import (
-    acceptance_probability,
-    cutpoint_params,
-    format_automaton,
-    parse_automaton,
-    pattern_automaton,
-)
+# Each command imports what it runs, in its body: building the parser loads
+# no other moqfa module, and `moqfa variation` never loads moqfa.quantum.
+from .errors import DEFAULT_WORD_BUDGET, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,12 +38,15 @@ def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _pattern_from_args(args) -> SubsequencePattern:
+def _pattern_from_args(args):
+    from .patterns import SubsequencePattern
+
     return SubsequencePattern(args.letters, args.alphabet)
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as file:
+        return file.read()
 
 
 def _quoted_words(words) -> str:
@@ -62,18 +54,26 @@ def _quoted_words(words) -> str:
 
 
 def _cmd_synth(args) -> int:
+    from .patterns import pattern_acceptor
+    from .quantum import cutpoint_params
+
     pattern = _pattern_from_args(args)
     cutpoint, isolation = cutpoint_params(pattern)
     print(f"dim: {pattern_acceptor(pattern).dimension}")
     print(f"lambda: {_fmt(cutpoint)}")
     print(f"delta: {_fmt(isolation)}")
     if args.emit:  # only the text form needs matrices, and so numpy
+        from .quantum import format_automaton, pattern_automaton
+
         text = format_automaton(pattern_automaton(pattern))
-        Path(args.emit).write_text(text, encoding="utf-8")
+        with open(args.emit, "w", encoding="utf-8") as file:
+            file.write(text)
     return EXIT_OK
 
 
 def _cmd_prob(args) -> int:
+    from .quantum import acceptance_probability, parse_automaton, pattern_automaton
+
     if args.qfa is not None:
         if args.letters is not None or args.alphabet is not None:
             raise _UsageError("give either --qfa or --letters/--alphabet, not both")
@@ -88,6 +88,8 @@ def _cmd_prob(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .decision import verify_construction
+
     pattern = _pattern_from_args(args)
     report = verify_construction(pattern, args.maxlen, max_words=args.budget)
     print(f"lambda: {_fmt(report.cutpoint)}")
@@ -102,6 +104,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .automata import parse_dfa
+    from .decision import diagnose
+
     result = diagnose(parse_dfa(_read(args.dfa)))
     print(f"minimal_states: {result.minimal_state_count}")
     print(f"literally_idempotent: {_fmt_bool(result.literally_idempotent)}")
@@ -115,6 +120,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_monoid(args) -> int:
+    from .algebra import green_report
+    from .automata import minimize, parse_dfa
+
     report = green_report(minimize(parse_dfa(_read(args.dfa))))
     print(f"size: {report.monoid_size}")
     print(f"r_trivial: {_fmt_bool(report.r_trivial)}")
@@ -127,6 +135,10 @@ def _cmd_monoid(args) -> int:
 
 
 def _cmd_variation(args) -> int:
+    import math
+
+    from .automata import minimize, parse_dfa, sup_variation, variation
+
     minimal = minimize(parse_dfa(_read(args.dfa)))
     if args.word is not None:
         print(f"variation: {variation(minimal, tuple(args.word))}")

@@ -13,24 +13,20 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .algebra import DEFAULT_ELEMENT_CAP, is_j_trivial, letters_idempotent, transition_monoid
 from .automata import Dfa, is_literally_idempotent, is_partially_ordered, minimize
-from .errors import ResourceLimitError
+from .errors import DEFAULT_ELEMENT_CAP, DEFAULT_WORD_BUDGET, ResourceLimitError
 from .patterns import SubsequencePattern, pattern_acceptor
 # `measure` is unused here; it stays a module attribute because the verify
 # workload of perfbench/workloads.py traces `decision.measure` by that name.
 from .quantum import cutpoint_params, measure
 
-DEFAULT_WORD_BUDGET = 2_000_000
-
 NOT_LI = "NOT_LI"
 NOT_PT = "NOT_PT"
 
 
-@dataclass(frozen=True)
-class Diagnosis:
+class Diagnosis(NamedTuple):
     """Result of the membership pipeline on one regular language."""
 
     minimal_state_count: int
@@ -113,6 +109,9 @@ def diagnose(dfa: Dfa) -> Diagnosis:
 def monoid_oracle(dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> bool:
     """Algebraic membership test: J-trivial syntactic monoid whose letter
     images are idempotent.  Agrees with diagnose(dfa).verdict on every input."""
+    # imported on use, like exact below: `moqfa check` never builds a monoid
+    from .algebra import is_j_trivial, letters_idempotent, transition_monoid
+
     monoid = transition_monoid(minimize(dfa), max_elements)
     return is_j_trivial(monoid) and letters_idempotent(monoid)
 
@@ -121,8 +120,7 @@ def monoid_oracle(dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> bool:
 # exhaustive verification of the pattern acceptors
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking a pattern acceptor against the subsequence oracle
     on every word up to a length bound."""
 

@@ -1,5 +1,7 @@
-"""Exception types, the alphabet rule, and the line tokenizer shared by the
-text-format parsers."""
+"""Exception types, the default size budgets, the alphabet rule, the base of
+the immutable classes, and the line tokenizer shared by the text-format
+parsers.  It imports nothing, so the command-line parser can be built from it
+alone."""
 
 from __future__ import annotations
 
@@ -22,6 +24,10 @@ class ResourceLimitError(RuntimeError):
     """A computation exceeded its configured size budget."""
 
 
+DEFAULT_WORD_BUDGET = 2_000_000  # words that verify_construction may check
+DEFAULT_ELEMENT_CAP = 1_000_000  # elements that transition_monoid may build
+
+
 def _check_alphabet(symbols) -> tuple[str, ...]:
     """The alphabet as a tuple, or ValueError unless its symbols are distinct
     and each one printable character other than space: the rule of every
@@ -33,6 +39,38 @@ def _check_alphabet(symbols) -> tuple[str, ...]:
     if len(set(alphabet)) != len(alphabet):
         raise ValueError("alphabet contains repeated symbols")
     return alphabet
+
+
+class _Frozen:
+    """Base of the classes whose constructors validate their fields.
+
+    __init__ sets the fields, the names the class annotates, once each
+    through object.__setattr__; assigning or deleting any attribute later
+    raises AttributeError.  repr shows the fields, and == and hash compare
+    them between instances of the same class; a class that holds arrays
+    restores identity equality.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__annotations__)
+
+    def __repr__(self):
+        fields = zip(type(self).__annotations__, self._values())
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 class _TokenLines:

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import PatternError, _check_alphabet
+from .errors import PatternError, _check_alphabet, _Frozen
 
 
-@dataclass(frozen=True)
-class SubsequencePattern:
+class SubsequencePattern(_Frozen):
     """A sequence of letters a1..ak over an alphabet, adjacent letters distinct.
 
     The pattern denotes its shuffle ideal: the set of words over the alphabet

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import FormatError, _check_alphabet, _TokenLines
+from .errors import FormatError, _check_alphabet, _Frozen, _TokenLines
 from .patterns import SparseAcceptor, SubsequencePattern, _letter_outcomes, pattern_acceptor
 
 if TYPE_CHECKING:
@@ -44,8 +43,7 @@ def _frozen_matrix(entries) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class Observable:
+class Observable(_Frozen):
     """A finite family of labelled projectors that sum to the identity.
 
     The constructor normalises its inputs and refuses, with one ValueError
@@ -57,6 +55,9 @@ class Observable:
 
     dimension: int
     outcomes: tuple[tuple[str, np.ndarray], ...]
+
+    __eq__ = object.__eq__  # the fields hold arrays: equality is identity
+    __hash__ = object.__hash__
 
     def __init__(self, dimension: int, outcomes: Iterable[tuple[str, object]]):
         if dimension < 1:
@@ -134,11 +135,13 @@ def validate_observable(obs: Observable) -> list[str]:
     return report
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Frozen):
     """Hermitian, positive-semidefinite, trace-one state matrix."""
 
     matrix: np.ndarray
+
+    __eq__ = object.__eq__  # the fields hold arrays: equality is identity
+    __hash__ = object.__hash__
 
     def __init__(self, matrix):
         import numpy as np
@@ -196,8 +199,7 @@ def measure(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
     return DensityMatrix(_channel(_stack(obs), rho.matrix))
 
 
-@dataclass(frozen=True, eq=False)
-class MeasureOnlyAutomaton:
+class MeasureOnlyAutomaton(_Frozen):
     """Word acceptor driven purely by projective measurements.
 
     Fields: an ordered alphabet, a unit initial row vector, one observable per
@@ -211,6 +213,9 @@ class MeasureOnlyAutomaton:
     observables: dict[str, Observable]
     end_observable: Observable
     accepting: frozenset[str]
+
+    __eq__ = object.__eq__  # the fields hold arrays: equality is identity
+    __hash__ = object.__hash__
 
     def __init__(self, alphabet, initial, observables, end_observable, accepting):
         import numpy as np
@@ -375,8 +380,7 @@ def cutpoint_params(pattern: SubsequencePattern) -> tuple[float, float]:
     return 2 * radius, radius
 
 
-@dataclass(frozen=True)
-class WordCheck:
+class WordCheck(NamedTuple):
     word: tuple[str, ...]
     probability: float
     member: bool
@@ -384,8 +388,7 @@ class WordCheck:
     isolated: bool
 
 
-@dataclass(frozen=True)
-class CutpointReport:
+class CutpointReport(NamedTuple):
     cutpoint: float
     isolation: float
     checks: tuple[WordCheck, ...]
