@@ -17,9 +17,9 @@ _EXPORTS = {
         (
             "quantum",
             "EPS CutpointReport DensityMatrix MeasureOnlyAutomaton Observable WordCheck "
-            "acceptance_probability acceptance_probabilities cutpoint_params down_projector "
-            "format_automaton identity_observable measure parse_automaton pattern_automaton "
-            "recognizes_with_cutpoint up_projector validate_observable",
+            "acceptance_probability acceptance_probabilities cutpoint_params format_automaton "
+            "identity_observable measure parse_automaton pattern_automaton recognizes_with_cutpoint "
+            "validate_observable",
         ),
         (
             "automata",

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 # Each command imports what it runs, in its body: building the parser loads
-# no other moqfa module, and `moqfa variation` never loads moqfa.quantum.
+# no other moqfa module, and only `prob --qfa` loads numpy.
 from .errors import DEFAULT_WORD_BUDGET, ResourceLimitError
 
 EXIT_OK = 0
@@ -55,35 +55,35 @@ def _quoted_words(words) -> str:
 
 def _cmd_synth(args) -> int:
     from .patterns import pattern_acceptor
-    from .quantum import cutpoint_params
+    from .quantum import cutpoint_params, format_automaton
 
     pattern = _pattern_from_args(args)
     cutpoint, isolation = cutpoint_params(pattern)
-    print(f"dim: {pattern_acceptor(pattern).dimension}")
+    acceptor = pattern_acceptor(pattern)
+    print(f"dim: {acceptor.dimension}")
     print(f"lambda: {_fmt(cutpoint)}")
     print(f"delta: {_fmt(isolation)}")
-    if args.emit:  # only the text form needs matrices, and so numpy
-        from .quantum import format_automaton, pattern_automaton
-
-        text = format_automaton(pattern_automaton(pattern))
+    if args.emit:
         with open(args.emit, "w", encoding="utf-8") as file:
-            file.write(text)
+            file.write(format_automaton(acceptor))
     return EXIT_OK
 
 
 def _cmd_prob(args) -> int:
-    from .quantum import acceptance_probability, parse_automaton, pattern_automaton
-
+    word = tuple(args.word)
     if args.qfa is not None:
         if args.letters is not None or args.alphabet is not None:
             raise _UsageError("give either --qfa or --letters/--alphabet, not both")
-        auto = parse_automaton(_read(args.qfa))
+        from .quantum import acceptance_probability, parse_automaton
+
+        probability = acceptance_probability(parse_automaton(_read(args.qfa)), word)
     else:
         if args.letters is None or args.alphabet is None:
             raise _UsageError("need --letters and --alphabet (or --qfa)")
-        auto = pattern_automaton(_pattern_from_args(args))
-    word = tuple(args.word)
-    print(_fmt(acceptance_probability(auto, word)))
+        from .exact import pattern_probabilities
+
+        probability = next(pattern_probabilities(_pattern_from_args(args), (word,)))
+    print(_fmt(probability))
     return EXIT_OK
 
 

@@ -150,9 +150,8 @@ def verify_construction(
     cutpoint| < isolation; both sides are compared as exact rationals.
 
     The acceptor is the exact sparse form that `pattern_acceptor` writes and
-    checks; `pattern_automaton` renders the same form into the matrices that
-    `moqfa synth --emit` writes.  No matrix is built here, and numpy is not
-    imported.  The acceptor's letters map diagonal states to diagonal states
+    checks, the form `moqfa synth --emit` writes and `moqfa prob --letters`
+    walks in floats.  No matrix is built here, and numpy is not imported.  The acceptor's letters map diagonal states to diagonal states
     (checked exactly; otherwise ValueError), and two words that reach the
     same (pattern progress, diagonal state) pair have the same future.  So the words are walked one
     length at a time as the set of distinct pairs they reach, and only the

@@ -1,22 +1,24 @@
-"""Exact check of the pattern acceptor on every word up to a length.
+"""The pattern acceptor walked on its diagonal states, exactly and in floats.
 
 The pattern acceptor started on a basis state keeps its density matrix
 diagonal, with dyadic entries, and two words that reach the same pair
 (pattern progress, diagonal state) have the same future.  So every word up to
 a length is checked by walking the distinct pairs of each length in exact
 rational arithmetic, each letter's step read from the nonzero projector
-entries of the acceptor's sparse form (`moqfa.patterns.SparseAcceptor`).
-The walk builds no matrix and imports no numpy.
-`moqfa.decision.verify_construction` is the public entry point.
+entries of the acceptor's sparse form (`moqfa.patterns.SparseAcceptor`);
+`moqfa.decision.verify_construction` is the public entry point.  The same
+step table evaluates words in floats for `moqfa prob --letters`
+(`pattern_probabilities`).  Neither walk builds a matrix or imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterator
 
 from .automata import pattern_dfa
-from .patterns import SparseAcceptor, SubsequencePattern, _common_denominator
+from .patterns import SparseAcceptor, SubsequencePattern, _common_denominator, pattern_acceptor
 
 
 def check_pattern_acceptor(
@@ -61,6 +63,24 @@ def check_pattern_acceptor(
                 break
     min_margin = float(min(margin for _, _, margin in verdicts.values()))
     return tuple(misclassified), tuple(violations), min_margin
+
+
+def pattern_probabilities(pattern: SubsequencePattern, words) -> Iterator[float]:
+    """Acceptance probability of each word on the pattern acceptor in turn,
+    clamped to [0, 1]: the diagonal state walked in floats, one step of
+    `_PairWalk` per letter.  An unknown symbol raises ValueError when reached."""
+    walk = _PairWalk(pattern, pattern_acceptor(pattern))
+    steps = dict(zip(walk.alphabet, walk.steps))
+    *start, den = walk.initial
+    for word in words:
+        state = [x / den for x in start]
+        for sym in word:
+            if sym not in steps:
+                raise ValueError(f"symbol {sym!r} is not in the alphabet")
+            columns, scale = steps[sym]
+            state = [sum(w * state[r] for r, w in column) / scale for column in columns]
+        p = sum(a * x for a, x in zip(walk.accept, state)) / walk.accept_den
+        yield min(1.0, max(0.0, p))
 
 
 class _PairWalk:

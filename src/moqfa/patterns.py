@@ -2,7 +2,7 @@
 measurement-only acceptor of a pattern written as exact sparse data.
 
 This module imports no matrix library: `moqfa.exact` walks the sparse form
-directly, and `moqfa.quantum` renders it into matrices.
+directly, and `moqfa.quantum` writes it as text or renders it into matrices.
 """
 
 from __future__ import annotations
@@ -40,13 +40,6 @@ class SubsequencePattern(_Frozen):
                     "adjacent pattern letters must differ "
                     f"(positions {i + 1} and {i + 2} are both {self.letters[i]!r})"
                 )
-
-    def occurrence_positions(self, letter: str) -> tuple[int, ...]:
-        """1-based positions at which `letter` occurs in the pattern."""
-        positions = tuple(i + 1 for i, a in enumerate(self.letters) if a == letter)
-        if not positions:
-            raise PatternError(f"{letter!r} does not occur in the pattern")
-        return positions
 
     def matches(self, word: Iterable[str]) -> bool:
         """True iff the pattern is a subsequence of `word` (greedy scan)."""

@@ -6,7 +6,7 @@ nonselective measurement channel rho -> sum_i P_i rho P_i of that letter's
 observable; the acceptance probability is then the probability mass the final
 state assigns to the accepting outcomes of the end-word observable.
 
-The module also renders the canonical acceptor for a subsequence pattern,
+`pattern_automaton` renders the canonical acceptor for a subsequence pattern,
 which `moqfa.patterns.pattern_acceptor` writes as exact sparse data, into
 matrices: dimension k+1 tracking subsequence progress, an up/down projector
 pair for every pattern letter, the identity observable for all other
@@ -15,8 +15,8 @@ That acceptor separates members from non-members of the pattern's shuffle
 ideal around the cut point 2^-(2k+1) with isolation radius 2^-(2k+2).
 
 Each function that builds a matrix imports numpy in its body, so importing
-this module does not import numpy and callers that never build a matrix
-never load it.
+this module does not import numpy; `format_automaton` writes any acceptor
+from its sparse form, and so needs numpy only for a matrix acceptor.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FormatError, _check_alphabet, _Frozen, _TokenLines
-from .patterns import SparseAcceptor, SubsequencePattern, _letter_outcomes, pattern_acceptor
+from .patterns import SparseAcceptor, SubsequencePattern, pattern_acceptor
 
 if TYPE_CHECKING:
     import numpy as np
@@ -320,27 +320,6 @@ def _matrix(d: int, entries) -> np.ndarray:
     return m
 
 
-def up_projector(pattern: SubsequencePattern, letter: str) -> np.ndarray:
-    """(k+1)x(k+1) "advance" projector of a pattern letter.
-
-    With j ranging over the 1-based positions of `letter` in the pattern, the
-    entry at (r, s) is 1/2 whenever both r and s lie in a block {j, j+1}, 1 on
-    the diagonal outside every block, and 0 elsewhere.  Raises PatternError
-    for a letter outside the pattern.
-    """
-    pattern.occurrence_positions(letter)
-    (_, up), _ = _letter_outcomes(pattern, letter)
-    return _matrix(len(pattern.letters) + 1, up)
-
-
-def down_projector(pattern: SubsequencePattern, letter: str) -> np.ndarray:
-    """Orthogonal complement of `up_projector`: +1/2 on each block diagonal,
-    -1/2 on the block off-diagonals, 0 everywhere else."""
-    pattern.occurrence_positions(letter)
-    _, (_, down) = _letter_outcomes(pattern, letter)
-    return _matrix(len(pattern.letters) + 1, down)
-
-
 def pattern_automaton(pattern: SubsequencePattern) -> MeasureOnlyAutomaton:
     """Measurement-only acceptor for the pattern's shuffle ideal: the matrices
     of `moqfa.patterns.pattern_acceptor`, entry for entry.
@@ -426,7 +405,7 @@ def recognizes_with_cutpoint(
 
 
 # ---------------------------------------------------------------------------
-# text format (used by the CLI's synth --emit and prob --qfa)
+# text format (written by the CLI's synth --emit, read by prob --qfa)
 
 
 def _format_real(x: float) -> str:
@@ -439,22 +418,29 @@ def _format_entry(z: complex) -> str:
     return f"{_format_real(z.real)},{_format_real(z.imag)}"
 
 
-def format_automaton(auto: MeasureOnlyAutomaton) -> str:
-    """Render the acceptor in the line-oriented text format.
+def format_automaton(auto: MeasureOnlyAutomaton | SparseAcceptor) -> str:
+    """Render the acceptor in the line-oriented text format, from its sparse
+    form: a `MeasureOnlyAutomaton` through `.sparse()`, a `SparseAcceptor` as
+    given, each entry it omits written as zero.
 
     Header `mon1qfa dim=<m> alphabet=<symbols>`, the initial vector as m
     `re,im` entries, one `observable <symbol>` section per alphabet symbol
     with an `outcome <label>` block (m rows of m entries) per projector, the
     `end-observable` section in the same shape, and `accepting: <labels>`.
     """
-    lines = [f"mon1qfa dim={auto.dimension} alphabet={''.join(auto.alphabet)}"]
-    lines.append("initial: " + " ".join(_format_entry(z) for z in auto.initial))
+    if not isinstance(auto, SparseAcceptor):
+        auto = auto.sparse()
+    d = auto.dimension
+    lines = [f"mon1qfa dim={d} alphabet={''.join(auto.alphabet)}"]
+    lines.append("initial: " + " ".join(map(_format_entry, auto.initial)))
 
-    def emit_outcomes(obs: Observable) -> None:
-        for label, p in obs.outcomes:
+    def emit_outcomes(outcomes) -> None:
+        for label, entries in outcomes:
             lines.append(f"outcome {label}")
-            for row in p:
-                lines.append(" ".join(_format_entry(z) for z in row))
+            rows = [["0.0,0.0"] * d for _ in range(d)]
+            for (r, c), z in entries.items():
+                rows[r][c] = _format_entry(z)
+            lines.extend(map(" ".join, rows))
 
     for sym in auto.alphabet:
         lines.append(f"observable {sym}")

@@ -52,6 +52,7 @@ COMMANDS = {
     "monoid": ["monoid", "contains_a.dfa"],
     "variation": ["variation", "contains_a.dfa"],
     "synth": ["synth", "--letters", "a", "b", "--alphabet", "abc"],
+    "synth_emit": ["synth", "--letters", "a", "b", "--alphabet", "abc", "--emit", "ab.qfa"],
     "verify": ["verify", "--letters", "a", "b", "--alphabet", "abc", "--maxlen", "3"],
     "prob": ["prob", "--letters", "a", "b", "--alphabet", "abc", "--word", "ab"],
 }
@@ -81,6 +82,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command):
         "variation": {"moqfa.quantum", "moqfa.algebra", "moqfa.decision", "moqfa.exact"},
         "monoid": {"moqfa.quantum", "moqfa.decision", "moqfa.exact"},
         "synth": {"moqfa.automata", "moqfa.algebra", "moqfa.decision", "moqfa.exact", "numpy"},
+        "synth_emit": {"moqfa.automata", "moqfa.algebra", "moqfa.decision", "moqfa.exact", "numpy"},
+        "prob": {"moqfa.quantum", "moqfa.algebra", "moqfa.decision", "numpy"},
         "check": {"moqfa.algebra", "moqfa.exact", "numpy"},
     }.get(command, set())
     assert not absent & added
@@ -91,7 +94,7 @@ def test_star_import_binds_all_from_the_defining_modules():
     exec("from moqfa import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(moqfa.__all__) == set(moqfa._EXPORTS)
-    assert len(moqfa.__all__) == 60
+    assert len(moqfa.__all__) == 58
     for name, value in namespace.items():
         module = importlib.import_module(f"moqfa.{moqfa._EXPORTS[name]}")
         assert value is vars(module)[name] is getattr(moqfa, name)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moqfa
+from moqfa.exact import pattern_probabilities
 from moqfa import (
     DensityMatrix,
     FormatError,
@@ -28,7 +29,6 @@ from moqfa import (
     acceptance_probabilities,
     acceptance_probability,
     cutpoint_params,
-    down_projector,
     format_automaton,
     identity_observable,
     measure,
@@ -36,7 +36,6 @@ from moqfa import (
     pattern_acceptor,
     pattern_automaton,
     recognizes_with_cutpoint,
-    up_projector,
     validate_observable,
 )
 
@@ -55,10 +54,19 @@ def pattern(letters, alphabet):
 # projector construction
 
 
+def projector(p, sym, label):
+    """Outcome `label` of `sym` in `pattern_acceptor(p)`, as a dense matrix."""
+    d = len(p.letters) + 1
+    matrix = np.zeros((d, d))
+    for (r, c), x in dict(pattern_acceptor(p).observables[sym])[label].items():
+        matrix[r, c] = x
+    return matrix
+
+
 def test_elementary_projectors_for_single_letter_pattern():
     p = pattern("a", "ab")
-    assert np.array_equal(up_projector(p, "a"), UP2)
-    assert np.array_equal(down_projector(p, "a"), DOWN2)
+    assert np.array_equal(projector(p, "a", "up"), UP2)
+    assert np.array_equal(projector(p, "a", "down"), DOWN2)
 
 
 def test_projector_blocks_for_two_letter_pattern():
@@ -66,10 +74,10 @@ def test_projector_blocks_for_two_letter_pattern():
     expected_up_b = np.zeros((3, 3))
     expected_up_b[0, 0] = 1.0
     expected_up_b[1:3, 1:3] = UP2
-    assert np.array_equal(up_projector(p, "b"), expected_up_b)
+    assert np.array_equal(projector(p, "b", "up"), expected_up_b)
     expected_down_a = np.zeros((3, 3))
     expected_down_a[0:2, 0:2] = DOWN2
-    assert np.array_equal(down_projector(p, "a"), expected_down_a)
+    assert np.array_equal(projector(p, "a", "down"), expected_down_a)
 
 
 def test_projector_blocks_for_repeated_letter():
@@ -79,24 +87,18 @@ def test_projector_blocks_for_repeated_letter():
     expected = np.zeros((4, 4))
     expected[0:2, 0:2] = UP2
     expected[2:4, 2:4] = UP2
-    assert np.array_equal(up_projector(p, "a"), expected)
+    assert np.array_equal(projector(p, "a", "up"), expected)
     expected_b = np.zeros((4, 4))  # down projectors vanish outside their blocks
     expected_b[1:3, 1:3] = DOWN2
-    assert np.array_equal(down_projector(p, "b"), expected_b)
-
-
-def test_projector_for_letter_outside_pattern_rejected():
-    p = pattern("a", "ab")
-    with pytest.raises(PatternError):
-        up_projector(p, "b")
+    assert np.array_equal(projector(p, "b", "down"), expected_b)
 
 
 @pytest.mark.parametrize("letters", ["a", "ab", "aba", "abc", "abcab"])
 def test_up_and_down_are_complementary(letters):
     p = pattern(letters, "abc")
     for sym in set(letters):
-        up = up_projector(p, sym)
-        down = down_projector(p, sym)
+        up = projector(p, sym, "up")
+        down = projector(p, sym, "down")
         assert np.allclose(up + down, np.eye(len(letters) + 1), atol=1e-15)
         assert np.max(np.abs(up @ down)) < 1e-15
 
@@ -392,6 +394,28 @@ def test_pattern_acceptors_agree_with_the_exact_oracle():
             assert abs(probability - float(exact)) <= 1e-12
 
 
+def test_the_float_walk_prints_the_matrix_evaluators_bytes():
+    # prob --letters walks the diagonal state of the sparse form in floats
+    cases = [(p, list(support.words_up_to("abc", 6))) for p in support.patterns_up_to(3, "abc")]
+    rng = random.Random(26)
+    for _ in range(40):
+        alphabet = "abcd"[: rng.randint(2, 4)]
+        letters = []
+        for _ in range(rng.randint(0, 20)):
+            letters.append(rng.choice([x for x in alphabet if letters[-1:] != [x]]))
+        words = ["".join(rng.choices(alphabet, k=rng.randint(0, 2000))) for _ in range(3)]
+        cases.append((pattern(letters, alphabet), words))
+    for p, words in cases:
+        walked = pattern_probabilities(p, words)
+        matrices = acceptance_probabilities(pattern_automaton(p), words)
+        for word, x, y in zip(words, walked, matrices, strict=True):
+            assert f"{x:.12f}" == f"{y:.12f}", (p, word)
+    walked = pattern_probabilities(pattern("a", "ab"), ["ab", "abx"])
+    assert next(walked) == 0.5
+    with pytest.raises(ValueError, match="symbol 'x' is not in the alphabet"):
+        next(walked)
+
+
 # ---------------------------------------------------------------------------
 # the constructed automaton as a whole
 
@@ -441,19 +465,47 @@ def _assert_holds_the_entries_of(auto, acceptor):
             assert _nonzero_entries(matrix) == entries
 
 
-@pytest.mark.parametrize(
-    "matrices",
-    [pattern_automaton, lambda p: parse_automaton(format_automaton(pattern_automaton(p)))],
-    ids=["rendered", "emitted_and_parsed"],
-)
-def test_the_sparse_form_is_the_emitted_acceptor_entry_for_entry(matrices):
-    # verify walks the sparse form, synth --emit writes the matrices: they
-    # must be one acceptor, also at lengths in the hundreds
+def _sparse_form_patterns():
     patterns = [p for alphabet in ("ab", "abc", "abcd") for p in support.patterns_up_to(5, alphabet)]
     assert len(patterns) == 590
-    patterns += [pattern("ab" * 100, "abc"), pattern("ab" * 268, "ab")]
-    for p in patterns:
+    return patterns + [pattern("ab" * 100, "abc"), pattern("ab" * 268, "ab")]
+
+
+@pytest.mark.parametrize(
+    "matrices",
+    [
+        pattern_automaton,
+        lambda p: parse_automaton(format_automaton(pattern_automaton(p))),
+        lambda p: parse_automaton(format_automaton(pattern_acceptor(p))),
+    ],
+    ids=["rendered", "emitted_and_parsed", "written_sparse_and_parsed"],
+)
+def test_the_sparse_form_is_the_emitted_acceptor_entry_for_entry(matrices):
+    # verify and prob walk the sparse form, synth --emit writes it: the
+    # matrices must be one acceptor, also at lengths in the hundreds
+    for p in _sparse_form_patterns():
         _assert_holds_the_entries_of(matrices(p), pattern_acceptor(p))
+
+
+def _row_loop_text(auto):
+    """The text format written row by row from the matrices."""
+    entry = lambda z: ",".join(repr(float(x) if x else 0.0) for x in (z.real, z.imag))
+    lines = [f"mon1qfa dim={auto.dimension} alphabet={''.join(auto.alphabet)}"]
+    lines.append("initial: " + " ".join(map(entry, auto.initial)))
+    sections = [(f"observable {sym}", auto.observables[sym]) for sym in auto.alphabet]
+    for header, obs in sections + [("end-observable", auto.end_observable)]:
+        lines.append(header)
+        for label, p in obs.outcomes:
+            lines.append(f"outcome {label}")
+            lines += [" ".join(map(entry, row)) for row in p]
+    lines.append("accepting: " + " ".join(sorted(auto.accepting)))
+    return "\n".join(lines) + "\n"
+
+
+def test_the_sparse_form_is_written_as_the_matrices_byte_for_byte():
+    for p in _sparse_form_patterns():
+        auto = pattern_automaton(p)
+        assert format_automaton(pattern_acceptor(p)) == format_automaton(auto) == _row_loop_text(auto)
 
 
 def _with_entries(acceptor, sym, index, change):
@@ -776,14 +828,19 @@ def test_dfa_commands_never_execute_numpy(tmp_path):
         ("moqfa.verify_construction(moqfa.SubsequencePattern('abcab', 'abcd'), 5)", False),
         ("main(['verify', '--letters', 'a', 'b', '--alphabet', 'abc', '--maxlen', '4'])", False),
         ("main(['synth', '--letters', 'a', 'b', '--alphabet', 'abc'])", False),
-        ("main(['synth', '--letters', 'a', 'b', '--alphabet', 'abc', '--emit', 'ab.qfa'])", True),
-        ("main(['prob', '--letters', 'a', 'b', '--alphabet', 'abc', '--word', 'ab'])", True),
+        ("main(['synth', '--letters', 'a', 'b', '--alphabet', 'abc', '--emit', 'ab.qfa'])", False),
+        ("main(['prob', '--letters', 'a', 'b', '--alphabet', 'abc', '--word', 'ab'])", False),
+        (
+            "main(['synth', '--letters', 'a', '--alphabet', 'ab', '--emit', 'a.qfa'])\n"
+            "main(['prob', '--qfa', 'a.qfa', '--word', 'ab'])",
+            True,
+        ),
     ],
-    ids=["verify_construction", "verify", "synth", "synth_emit", "prob"],
+    ids=["verify_construction", "verify", "synth", "synth_emit", "prob", "prob_qfa"],
 )
 def test_only_matrices_execute_numpy(call, loads, tmp_path):
-    # verify and synth read the pattern acceptor's sparse form; the emitted
-    # text and prob's probabilities need its matrices
+    # verify, synth, synth --emit and prob --letters read the pattern
+    # acceptor's sparse form; only an acceptor read from text needs matrices
     script = f"import sys, moqfa\nfrom moqfa.cli import main\n{call}\nprint('numpy' in sys.modules)\n"
     child = _child(["-c", script], cwd=tmp_path)
     assert child.stdout.splitlines()[-1:] == [str(loads)], child.stderr
@@ -824,8 +881,10 @@ def test_threads_making_the_first_matrices_at_once_all_see_a_whole_numpy():
     assert child.stdout.splitlines() == ["0 []"], child.stderr
 
 
-def test_prob_loads_numpy_on_first_use_in_a_fresh_process():
-    child = _child(["-m", "moqfa", "prob", "--letters", "a", "b", "--alphabet", "ab", "--word", "ab"])
+def test_prob_loads_numpy_on_first_use_in_a_fresh_process(tmp_path):
+    qfa = str(tmp_path / "ab.qfa")
+    assert _child(["-m", "moqfa", "synth", "--letters", "a", "b", "--alphabet", "ab", "--emit", qfa]).returncode == 0
+    child = _child(["-m", "moqfa", "prob", "--qfa", qfa, "--word", "ab"])
     assert (child.returncode, child.stdout) == (0, "0.250000000000\n"), child.stderr
 
 
