@@ -17,7 +17,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple
 
-from .automata import Dfa
+from .automata import Dfa, _kahn_order
 from .errors import DEFAULT_ELEMENT_CAP, ResourceLimitError
 
 Transformation = tuple[int, ...]
@@ -122,24 +122,6 @@ def transition_monoid(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> 
 # Green's relations, tested without building their classes
 
 
-def _acyclic(count: int, table: list[int], k: int) -> bool:
-    """True iff the graph whose node i has successors table[i*k : i*k+k] has
-    no cycle but self-loops: Kahn's algorithm, self-loops left out."""
-    indegree = [0] * count
-    for i in range(count):
-        for j in table[i * k : i * k + k]:
-            if j != i:
-                indegree[j] += 1
-    ready = [i for i in range(count) if not indegree[i]]
-    for i in ready:  # ready grows while it is read
-        for j in table[i * k : i * k + k]:
-            if j != i:
-                indegree[j] -= 1
-                if not indegree[j]:
-                    ready.append(j)
-    return len(ready) == count
-
-
 def _distinct_kernels_and_images(idempotents: list[Transformation]) -> bool:
     """True iff no two idempotents share a kernel or an image.  For
     idempotents e R f iff ef = f and fe = e, and e L f iff ef = e and fe = f
@@ -157,7 +139,8 @@ def is_r_trivial(monoid: FiniteMonoid) -> bool:
     """True iff distinct elements generate distinct right ideals (xM): R-classes
     are the strong components of the right Cayley graph the closure recorded,
     so all are singletons iff it has no cycle but self-loops."""
-    return _acyclic(len(monoid), monoid.right, len(monoid.generator_map))
+    k, right, n = len(monoid.generator_map), monoid.right, len(monoid)
+    return _kahn_order(range(n), [right[c::k] for c in range(k)], n) is not None
 
 
 def is_l_trivial(monoid: FiniteMonoid) -> bool:
@@ -166,13 +149,13 @@ def is_l_trivial(monoid: FiniteMonoid) -> bool:
     through the prefix links: g times elements[x] is g times
     elements[prefix[x]], times the final[x]-th generator (Froidure and Pin)."""
     k, right = len(monoid.generator_map), monoid.right
-    left = [0] * len(right)
+    left = []  # one column per generator g: g times each element
     for c in range(k):
         left_c = [right[c]]  # g times the identity is g
         for p, f in zip(islice(monoid.prefix, 1, None), islice(monoid.final, 1, None)):
             left_c.append(right[left_c[p] * k + f])
-        left[c::k] = left_c
-    return _acyclic(len(monoid), left, k)
+        left.append(left_c)
+    return _kahn_order(range(len(monoid)), left, len(monoid)) is not None
 
 
 def is_j_trivial(monoid: FiniteMonoid) -> bool:

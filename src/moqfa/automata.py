@@ -66,25 +66,12 @@ class Dfa(_Frozen):
     @cached_property
     def _change_order(self) -> tuple[int, ...] | None:
         """Reachable states in topological order of the change graph (the
-        state-changing transitions), by Kahn's algorithm; None on a cycle."""
-        reachable = _reachable_order(self)
-        trans = self.transitions
-        indegree = dict.fromkeys(reachable, 0)
-        for q in reachable:
-            for t in trans[q]:
-                if t != q:
-                    indegree[t] += 1
-        ready = deque(sorted(q for q, d in indegree.items() if d == 0))
-        order = []
-        while ready:
-            q = ready.popleft()
-            order.append(q)
-            for t in trans[q]:
-                if t != q:
-                    indegree[t] -= 1
-                    if indegree[t] == 0:
-                        ready.append(t)
-        return tuple(order) if len(order) == len(reachable) else None
+        state-changing transitions); None on a cycle."""
+        # one list per letter; zip(*rows) would make an iterator per state,
+        # enough objects to set off extra garbage-collector passes
+        cols = [[row[c] for row in self.transitions] for c in range(len(self.alphabet))]
+        order = _kahn_order(_reachable_order(self), cols, self.state_count)
+        return None if order is None else tuple(order)
 
     def symbol_index(self, symbol: str) -> int:
         try:
@@ -279,15 +266,35 @@ def _reachable_order(dfa: Dfa) -> list[int]:
     """States reachable from the initial state, in BFS discovery order."""
     order = [dfa.initial]
     seen = {dfa.initial}
-    queue = deque(order)
-    while queue:
-        q = queue.popleft()
+    for q in order:  # order grows while it is read: it is its own queue
         for t in dfa.transitions[q]:
             if t not in seen:
                 seen.add(t)
                 order.append(t)
-                queue.append(t)
     return order
+
+
+def _kahn_order(nodes: Sequence[int], cols: Sequence[Sequence[int]], count: int) -> list | None:
+    """`nodes` in topological order of the graph in which node q's successors
+    are cols[c][q], one column per letter, by Kahn's algorithm; None when it
+    has a cycle other than a self-loop.  Only edges from `nodes` count, and
+    self-loops are left out; every node is below `count`.  The DFA's change
+    order and the Green's tests of `moqfa.algebra` both run this pass."""
+    indegree = [0] * count
+    for col in cols:
+        for q in nodes:
+            t = col[q]
+            if t != q:
+                indegree[t] += 1
+    ready = [q for q in nodes if not indegree[q]]
+    for q in ready:  # ready grows while it is read
+        for col in cols:
+            t = col[q]
+            if t != q:
+                indegree[t] -= 1
+                if not indegree[t]:
+                    ready.append(t)
+    return ready if len(ready) == len(nodes) else None
 
 
 def _first_appearance(keys: list) -> tuple[list[int], int]:

@@ -151,13 +151,15 @@ def verify_construction(
 
     The acceptor is the exact sparse form that `pattern_acceptor` writes and
     checks, the form `moqfa synth --emit` writes and `moqfa prob --letters`
-    walks in floats.  No matrix is built here, and numpy is not imported.  The acceptor's letters map diagonal states to diagonal states
-    (checked exactly; otherwise ValueError), and two words that reach the
-    same (pattern progress, diagonal state) pair have the same future.  So the words are walked one
-    length at a time as the set of distinct pairs they reach, and only the
-    pairs that fail are spelled out as words, in length-lexicographic order.
-    Raises ResourceLimitError when `words_checked` would exceed `max_words`,
-    and ValueError when `max_len` or `max_words` is negative.
+    walks in floats.  No matrix is built here, and numpy is not imported.
+    The acceptor's letters map diagonal states to diagonal states (checked
+    exactly; otherwise ValueError), and two words that reach the same
+    (pattern progress, diagonal state) pair have the same future.  So the
+    words are walked one length at a time as the set of distinct pairs they
+    reach, and only the pairs that fail are spelled out as words, in
+    length-lexicographic order.  Raises ResourceLimitError when
+    `words_checked` would exceed `max_words`, and ValueError when `max_len`
+    or `max_words` is negative.
     """
     if max_len < 0:
         raise ValueError("maximum word length must be nonnegative")

@@ -17,7 +17,6 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .automata import pattern_dfa
 from .patterns import SparseAcceptor, SubsequencePattern, _common_denominator, pattern_acceptor
 
 
@@ -38,7 +37,10 @@ def check_pattern_acceptor(
     and every letter's image of every diagonal basis state are exactly
     diagonal.
     """
-    walk = _PairWalk(pattern, acceptor)
+    # imported on use: `prob --letters` steps no pairs and loads no DFA code
+    from .automata import pattern_dfa
+
+    walk = _PairWalk(pattern, acceptor, pattern_dfa(pattern).transitions)
     lam, radius = Fraction(cutpoint), Fraction(isolation)
     verdicts = {}  # state -> (accepted, isolated, margin)
     misclassified, violations = [], []
@@ -90,12 +92,13 @@ class _PairWalk:
     common denominator, reduced so that equal states are equal tuples.
     Letter a sends E_rr to Phi_a(E_rr) = sum_i P_i[:, r] P_i[r, :], summed in
     outcome order from the nonzero entries of each projector P_i; column s of
-    its step lists each nonzero (r, Phi_a(E_rr)[s, s] * scale).
+    its step lists each nonzero (r, Phi_a(E_rr)[s, s] * scale).  `advance`,
+    the pattern DFA's transitions, is read only where pairs are stepped.
     """
 
-    def __init__(self, pattern: SubsequencePattern, acceptor: SparseAcceptor):
+    def __init__(self, pattern: SubsequencePattern, acceptor: SparseAcceptor, advance=()):
         self.alphabet = pattern.alphabet
-        self.advance = pattern_dfa(pattern).transitions
+        self.advance = advance
         d = acceptor.dimension
         psi = acceptor.initial  # diagonal iff at most one amplitude is nonzero
         if sum(1 for z in psi if z) > 1:

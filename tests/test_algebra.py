@@ -242,14 +242,14 @@ def test_right_cayley_table_is_the_composition_with_each_generator():
 
 
 def test_prefix_links_spell_each_element_and_give_the_left_table(monkeypatch):
-    tables = []
-    walk = algebra._acyclic
+    columns = []
+    walk = algebra._kahn_order
 
-    def recording(count, table, k):
-        tables.append(table)
-        return walk(count, table, k)
+    def recording(nodes, cols, count):
+        columns.append(cols)
+        return walk(nodes, cols, count)
 
-    monkeypatch.setattr(algebra, "_acyclic", recording)
+    monkeypatch.setattr(algebra, "_kahn_order", recording)
     dfas = [minimize(d) for d in support.random_corpus()]
     for d in dfas + [_group_dfa(4, False), _group_dfa(3, True)]:
         m = transition_monoid(d)
@@ -258,9 +258,9 @@ def test_prefix_links_spell_each_element_and_give_the_left_table(monkeypatch):
         for i in range(1, len(m)):
             assert m.prefix[i] < i
             assert m.elements[i] == compose(m.elements[m.prefix[i]], gens[m.final[i]])
-        tables.clear()
+        columns.clear()
         is_l_trivial(m)
-        assert tables == [[m.index[compose(g, x)] for x in m.elements for g in gens]]
+        assert columns == [[[m.index[compose(g, x)] for x in m.elements] for g in gens]]
 
 
 def test_words_are_spelled_only_when_read(monkeypatch):

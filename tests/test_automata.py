@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,7 @@ from moqfa import (
 
 import oracles
 import support
+from test_census import census
 
 CONTAINS_A_TEXT = """\
 # minimal DFA of: words containing the letter a
@@ -602,6 +604,54 @@ def test_sup_variation_and_its_witness_share_one_traversal(monkeypatch):
     assert sup_variation_witness(chain) == ("a", "b", "a")
     assert is_partially_ordered(chain)
     assert calls == [chain]
+
+
+def reference_change_order(d: Dfa) -> tuple[int, ...] | None:
+    """The change order as it was computed before the Kahn pass was shared: a
+    deque BFS for the reachable states, then Kahn's algorithm with a dict of
+    in-degrees over them, a sorted start and a deque."""
+    reachable = [d.initial]
+    seen = {d.initial}
+    queue = deque(reachable)
+    while queue:
+        q = queue.popleft()
+        for t in d.transitions[q]:
+            if t not in seen:
+                seen.add(t)
+                reachable.append(t)
+                queue.append(t)
+    indegree = dict.fromkeys(reachable, 0)
+    for q in reachable:
+        for t in d.transitions[q]:
+            if t != q:
+                indegree[t] += 1
+    ready = deque(sorted(q for q, n in indegree.items() if n == 0))
+    order = []
+    while ready:
+        q = ready.popleft()
+        order.append(q)
+        for t in d.transitions[q]:
+            if t != q:
+                indegree[t] -= 1
+                if indegree[t] == 0:
+                    ready.append(t)
+    return tuple(order) if len(order) == len(reachable) else None
+
+
+def test_change_order_is_the_reference_order():
+    # states 2 and 3 are unreachable, form a cycle, and lead into 0 and 1:
+    # only edges from reachable states may count
+    cycle_behind = Dfa("ab", [(1, 0), (1, 1), (3, 1), (2, 0)], 0, {1})
+    no_letters = Dfa((), [(), (), ()], 1, {0})
+    dfas = [cycle_behind, no_letters, *support.two_state_corpus(), *support.random_corpus()]
+    dfas += map(minimize, support.random_corpus())
+    dfas += [*census(3, "ab").values(), *census(2, "abc").values()]
+    dfas += [random_partially_ordered_dfa(i, 30, "ab" if i % 2 else "abc") for i in range(50)]
+    for d in dfas:
+        assert d._change_order == reference_change_order(d), d
+    assert cycle_behind._change_order == (0, 1)
+    assert no_letters._change_order == (1,)
+    assert sum(d._change_order is None for d in dfas) not in (0, len(dfas))
 
 
 def test_cached_facts_stay_out_of_equality_hash_and_repr():

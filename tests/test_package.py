@@ -83,7 +83,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command):
         "monoid": {"moqfa.quantum", "moqfa.decision", "moqfa.exact"},
         "synth": {"moqfa.automata", "moqfa.algebra", "moqfa.decision", "moqfa.exact", "numpy"},
         "synth_emit": {"moqfa.automata", "moqfa.algebra", "moqfa.decision", "moqfa.exact", "numpy"},
-        "prob": {"moqfa.quantum", "moqfa.algebra", "moqfa.decision", "numpy"},
+        "prob": {"moqfa.automata", "moqfa.quantum", "moqfa.algebra", "moqfa.decision", "numpy"},
         "check": {"moqfa.algebra", "moqfa.exact", "numpy"},
     }.get(command, set())
     assert not absent & added
