@@ -1,9 +1,13 @@
 """Transition monoids and Green's-relation diagnostics.
 
 The transition monoid of a minimal DFA is the syntactic monoid of its
-language; elements are represented as canonical state-transformation tuples
-and discovered by breadth-first closure over words in length-lexicographic
-order, so element order and shortest witnesses are deterministic.
+language; its elements are discovered by breadth-first closure over words in
+length-lexicographic order, so element order and shortest witnesses are
+deterministic.  While a state fits in a byte (at most 256 states) the closure
+stores each element as bytes and a product is one `bytes.translate`; beyond,
+it stores tuples and a product is one `operator.itemgetter` call.  The public
+views (elements, index, idempotents(), shortest_witness) are state tuples,
+built when first read.
 Green's relations are tested without building their classes: the monoid is
 R-trivial (L-trivial) iff its right (left) Cayley graph has no cycle but
 self-loops (Brzozowski and Fich, "Languages of R-trivial monoids", 1980), and
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .automata import Dfa, _kahn_order
@@ -22,7 +26,7 @@ from .errors import DEFAULT_ELEMENT_CAP, ResourceLimitError
 
 Transformation = tuple[int, ...]
 
-_ENTRY_BUDGET = 2**26  # states in all elements together: about 512 MB of tuple slots
+_ENTRY_BUDGET = 2**26  # states in all elements together: 64 MB as bytes, 512 MB as tuples
 
 
 def _after(first: Transformation):
@@ -39,6 +43,7 @@ class FiniteMonoid:
     """Transition monoid of a DFA.
 
     elements[0] is the identity; index is the position of each element;
+    both are tuple views of the closure's own elements, built on first read.
     generator_map sends each alphabet symbol to its transformation;
     right, the right Cayley graph, is flat: right[i*k + c] is the index of
     elements[i] times the c-th of the k generators, in generator_map order.
@@ -53,20 +58,26 @@ class FiniteMonoid:
     def __init__(
         self,
         degree: int,
-        elements: tuple[Transformation, ...],
+        raw: list[bytes] | list[Transformation],
         generator_map: dict[str, Transformation],
         prefix: list[int],
         final: list[int],
-        index: dict[Transformation, int],
         right: list[int],
     ):
         self.degree = degree
-        self.elements = elements
+        self._raw = raw  # the closure's own encoding: bytes up to 256 states, tuples beyond
         self.generator_map = generator_map
         self.prefix = prefix
         self.final = final
-        self.index = index
         self.right = right
+
+    @cached_property
+    def elements(self) -> tuple[Transformation, ...]:
+        return tuple(map(tuple, self._raw))
+
+    @cached_property
+    def index(self) -> dict[Transformation, int]:
+        return dict(zip(self.elements, range(len(self._raw))))
 
     @cached_property
     def shortest_witness(self) -> dict[Transformation, tuple[str, ...]]:
@@ -78,10 +89,17 @@ class FiniteMonoid:
         return dict(zip(self.elements, words))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._raw)
 
     def idempotents(self) -> list[Transformation]:
-        return [t for t in self.elements if _after(t)(t) == t]
+        return list(map(tuple, self._idempotents()))
+
+    def _idempotents(self) -> list[bytes] | list[Transformation]:
+        """The elements e with ee = e, in the closure's encoding."""
+        if self.degree > 256:
+            return [e for e in self._raw if _after(e)(e) == e]
+        pad = bytes(256 - self.degree)
+        return [e for e in self._raw if e.translate(e + pad) == e]
 
 
 def transition_monoid(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> FiniteMonoid:
@@ -93,18 +111,23 @@ def transition_monoid(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> 
     """
     n = min_dfa.state_count
     limit = min(max_elements, _ENTRY_BUDGET // n)
-    identity = tuple(range(n))
     generators = dict(zip(min_dfa.alphabet, zip(*min_dfa.transitions)))
+    if n <= 256:  # a state fits in a byte: x times g is x.translate(g padded to 256 bytes)
+        pad = bytes(256 - n)
+        identity, after_of = bytes(range(n)), attrgetter("translate")
+        tables = [bytes(g) + pad for g in generators.values()]
+    else:
+        identity, after_of, tables = tuple(range(n)), _after, list(generators.values())
     elements = [identity]
     index = {identity: 0}
     prefix, final = [0], [0]  # the identity's entries are never read
     right: list[int] = []
-    letters = list(enumerate(generators.values()))
+    letters = list(enumerate(tables))
     # elements grows while it is read, in BFS order: it is its own queue
     for i, current in enumerate(elements):
-        after = _after(current)
-        for c, generator in letters:
-            successor = after(generator)
+        after = after_of(current)
+        for c, table in letters:
+            successor = after(table)
             j = index.get(successor)
             if j is None:
                 j = len(elements)
@@ -115,14 +138,14 @@ def transition_monoid(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> 
                 prefix.append(i)
                 final.append(c)
             right.append(j)
-    return FiniteMonoid(n, tuple(elements), generators, prefix, final, index, right)
+    return FiniteMonoid(n, elements, generators, prefix, final, right)
 
 
 # ---------------------------------------------------------------------------
 # Green's relations, tested without building their classes
 
 
-def _distinct_kernels_and_images(idempotents: list[Transformation]) -> bool:
+def _distinct_kernels_and_images(idempotents: list[bytes] | list[Transformation]) -> bool:
     """True iff no two idempotents share a kernel or an image.  For
     idempotents e R f iff ef = f and fe = e, and e L f iff ef = e and fe = f
     (Pin, Mathematical Foundations of Automata Theory, ch. V); composed left
@@ -169,7 +192,7 @@ def is_j_trivial(monoid: FiniteMonoid) -> bool:
 
 def is_block_group(monoid: FiniteMonoid) -> bool:
     """True iff every R-class and every L-class holds at most one idempotent."""
-    return _distinct_kernels_and_images(monoid.idempotents())
+    return _distinct_kernels_and_images(monoid._idempotents())
 
 
 def letters_idempotent(monoid: FiniteMonoid) -> bool:
@@ -198,7 +221,7 @@ def green_report(min_dfa: Dfa) -> GreenReport:
     """All the tests on one closure, with the idempotents listed once."""
     monoid = transition_monoid(min_dfa)
     r_trivial, l_trivial = is_r_trivial(monoid), is_l_trivial(monoid)
-    idempotents = monoid.idempotents()
+    idempotents = monoid._idempotents()
     return GreenReport(
         monoid_size=len(monoid),
         r_trivial=r_trivial,

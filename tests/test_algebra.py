@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from moqfa.cli import main
 
 import oracles
 import support
+from test_census import census
 
 
 def contains_a() -> Dfa:
@@ -158,8 +160,8 @@ def test_element_cap_raises_resource_error():
 
 
 def test_entry_budget_bounds_the_elements_of_many_state_monoids(monkeypatch, tmp_path, capsys):
-    # each element is a tuple of `degree` states, so the budget of state
-    # entries caps the element count at budget // degree
+    # the budget counts states, not bytes: each element holds `degree` states
+    # in either encoding, so it caps the element count at budget // degree
     d = minimize(random_dfa(3, 5, "abc"))
     full = transition_monoid(d)
     entries = len(full) * full.degree
@@ -276,11 +278,75 @@ def test_words_are_spelled_only_when_read(monkeypatch):
     for d in dfas + [_group_dfa(4, False), _group_dfa(3, True)]:
         green_report(d)
         m = built[-1]
-        assert "shortest_witness" not in vars(m)
         is_r_trivial(m), is_l_trivial(m), is_j_trivial(m), is_block_group(m)
-        assert "shortest_witness" not in vars(m)
+        # the tests read the closure's own encoding: no tuple view is built
+        assert {"elements", "index", "shortest_witness"}.isdisjoint(vars(m))
         assert m.shortest_witness is m.shortest_witness
         assert len(m.shortest_witness) == len(m)
+        assert type(m.elements) is tuple and m.elements is m.elements
+        assert all(type(x) is tuple for x in m.elements)
+        assert m.index is m.index and list(m.index) == list(m.elements)
+        assert list(m.index.values()) == list(range(len(m)))
+
+
+def reference_closure(min_dfa: Dfa):
+    """The closure on state tuples, one itemgetter per element: elements,
+    index, prefix, final and right, as transition_monoid gave them before it
+    stored a transformation of at most 256 states as bytes."""
+    n = min_dfa.state_count
+    identity = tuple(range(n))
+    generators = list(zip(*min_dfa.transitions))
+    elements, index = [identity], {identity: 0}
+    prefix, final, right = [0], [0], []
+    for i, current in enumerate(elements):
+        after = itemgetter(*current) if n > 1 else lambda then: tuple(then[q] for q in current)
+        for c, generator in enumerate(generators):
+            successor = after(generator)
+            j = index.get(successor)
+            if j is None:
+                j = index[successor] = len(elements)
+                elements.append(successor)
+                prefix.append(i)
+                final.append(c)
+            right.append(j)
+    return tuple(elements), index, prefix, final, right
+
+
+def one_letter_cycle(n: int) -> Dfa:
+    return Dfa("a", [((q + 1) % n,) for q in range(n)], 0, {0})
+
+
+def test_closure_matches_the_tuple_reference():
+    dfas = [minimize(d) for d in support.random_corpus()]
+    dfas += [*census(3, "ab").values(), *census(2, "abc").values()]
+    dfas += [_group_dfa(4, False), _group_dfa(3, True)]
+    dfas += [one_letter_cycle(n) for n in (255, 256, 257)]
+    for d in dfas:
+        m = transition_monoid(d)
+        elements, index, prefix, final, right = reference_closure(d)
+        assert m.elements == elements
+        assert list(m.index.items()) == list(index.items())
+        assert (m.prefix, m.final, m.right) == (prefix, final, right)
+        idempotents = [e for e in elements if tuple(e[q] for q in e) == e]
+        assert m.idempotents() == idempotents
+        gens = list(zip(*d.transitions))
+        left = [[index[tuple(x[q] for q in g)] for x in elements] for g in gens]
+        size = len(elements)
+        right_columns = [right[c :: len(gens)] for c in range(len(gens))]
+        r_trivial = algebra._kahn_order(range(size), right_columns, size) is not None
+        l_trivial = algebra._kahn_order(range(size), left, size) is not None
+        assert green_report(d) == algebra.GreenReport(
+            monoid_size=size,
+            r_trivial=r_trivial,
+            l_trivial=l_trivial,
+            j_trivial=r_trivial and l_trivial,
+            block_group=algebra._distinct_kernels_and_images(idempotents),
+            letters_idempotent=all(tuple(g[q] for q in g) == g for g in gens),
+            idempotent_count=len(idempotents),
+        )
+        assert {type(x) for x in m._raw} == {bytes if d.state_count <= 256 else tuple}
+    cycles = [green_report(d) for d in dfas[-3:]]
+    assert cycles == [(n, False, False, False, True, False, 1) for n in (255, 256, 257)]
 
 
 @given(data=st.data(), n=st.integers(1, 9))
