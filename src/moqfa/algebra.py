@@ -21,7 +21,7 @@ from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .automata import Dfa, _kahn_order
+from .automata import Dfa, _first_appearance, _is_idempotent, _kahn_order
 from .errors import DEFAULT_ELEMENT_CAP, ResourceLimitError
 
 Transformation = tuple[int, ...]
@@ -29,14 +29,9 @@ Transformation = tuple[int, ...]
 _ENTRY_BUDGET = 2**26  # states in all elements together: 64 MB as bytes, 512 MB as tuples
 
 
-def _after(first: Transformation):
-    """then -> compose(first, then), in C from two states on (itemgetter(q) gives an int)."""
-    return itemgetter(*first) if len(first) > 1 else lambda then: tuple(then[q] for q in first)
-
-
 def compose(first: Transformation, then: Transformation) -> Transformation:
     """Transformation of the word uv from those of u and v (left-to-right)."""
-    return _after(first)(then)
+    return tuple(map(then.__getitem__, first))
 
 
 class FiniteMonoid:
@@ -97,7 +92,7 @@ class FiniteMonoid:
     def _idempotents(self) -> list[bytes] | list[Transformation]:
         """The elements e with ee = e, in the closure's encoding."""
         if self.degree > 256:
-            return [e for e in self._raw if _after(e)(e) == e]
+            return list(filter(_is_idempotent, self._raw))
         pad = bytes(256 - self.degree)
         return [e for e in self._raw if e.translate(e + pad) == e]
 
@@ -111,13 +106,15 @@ def transition_monoid(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> 
     """
     n = min_dfa.state_count
     limit = min(max_elements, _ENTRY_BUDGET // n)
-    generators = dict(zip(min_dfa.alphabet, zip(*min_dfa.transitions)))
+    generators = dict(zip(min_dfa.alphabet, min_dfa._columns))
     if n <= 256:  # a state fits in a byte: x times g is x.translate(g padded to 256 bytes)
         pad = bytes(256 - n)
         identity, after_of = bytes(range(n)), attrgetter("translate")
         tables = [bytes(g) + pad for g in generators.values()]
     else:
-        identity, after_of, tables = tuple(range(n)), _after, list(generators.values())
+        # x times g is itemgetter(*x)(g), a tuple since n > 256 states
+        identity, tables = tuple(range(n)), list(generators.values())
+        after_of = lambda x: itemgetter(*x)
     elements = [identity]
     index = {identity: 0}
     prefix, final = [0], [0]  # the identity's entries are never read
@@ -152,8 +149,8 @@ def _distinct_kernels_and_images(idempotents: list[bytes] | list[Transformation]
     to right, that is the same kernel and the same image."""
     kernels, images = set(), set()
     for e in idempotents:
-        first: dict[int, int] = {}  # each kernel class numbered by first appearance
-        kernels.add(tuple(first.setdefault(q, len(first)) for q in e))
+        # each kernel class numbered by first appearance
+        kernels.add(tuple(_first_appearance(e)[0]))
         images.add(frozenset(e))
     return len(kernels) == len(images) == len(idempotents)
 
@@ -197,7 +194,7 @@ def is_block_group(monoid: FiniteMonoid) -> bool:
 
 def letters_idempotent(monoid: FiniteMonoid) -> bool:
     """True iff every letter's transformation squares to itself."""
-    return all(_after(t)(t) == t for t in monoid.generator_map.values())
+    return all(map(_is_idempotent, monoid.generator_map.values()))
 
 
 class GreenReport(NamedTuple):

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from functools import cached_property
 from itertools import compress
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import FormatError, _check_alphabet, _Frozen, _TokenLines
@@ -64,13 +64,17 @@ class Dfa(_Frozen):
         return {s: i for i, s in enumerate(self.alphabet)}
 
     @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """One successor tuple per letter: _columns[c][q] is transitions[q][c].
+        Built with no object per state; zip(*transitions) would make an
+        iterator per state, enough to set off extra garbage-collector passes."""
+        return tuple(tuple(map(itemgetter(c), self.transitions)) for c in range(len(self.alphabet)))
+
+    @cached_property
     def _change_order(self) -> tuple[int, ...] | None:
         """Reachable states in topological order of the change graph (the
         state-changing transitions); None on a cycle."""
-        # one list per letter; zip(*rows) would make an iterator per state,
-        # enough objects to set off extra garbage-collector passes
-        cols = [[row[c] for row in self.transitions] for c in range(len(self.alphabet))]
-        order = _kahn_order(_reachable_order(self), cols, self.state_count)
+        order = _kahn_order(_reachable_order(self), self._columns, self.state_count)
         return None if order is None else tuple(order)
 
     def symbol_index(self, symbol: str) -> int:
@@ -297,7 +301,7 @@ def _kahn_order(nodes: Sequence[int], cols: Sequence[Sequence[int]], count: int)
     return ready if len(ready) == len(nodes) else None
 
 
-def _first_appearance(keys: list) -> tuple[list[int], int]:
+def _first_appearance(keys: Sequence) -> tuple[list[int], int]:
     """Each key replaced by the rank of its first appearance in `keys`, and
     the number of distinct keys."""
     number = dict(zip(dict.fromkeys(keys), range(len(keys))))
@@ -389,7 +393,7 @@ def minimize(dfa: Dfa) -> Dfa:
     # the reachable states renumbered by BFS position, one successor column
     # per letter
     pos = dict(zip(order, range(m)))
-    cols = [list(map(pos.__getitem__, col)) for col in zip(*map(dfa.transitions.__getitem__, order))]
+    cols = [list(map(pos.__getitem__, map(col.__getitem__, order))) for col in dfa._columns]
     accepting = list(map(dfa.accepting.__contains__, order))
     cls = _refine_partition(cols, accepting)
     # The positions are in BFS discovery order and the classes numbered by
@@ -429,15 +433,12 @@ def product(first: Dfa, second: Dfa, mode: str) -> Dfa:
         raise ValueError("alphabet mismatch between the two automata")
     if mode not in PRODUCT_MODES:
         raise ValueError(f"unknown product mode {mode!r}")
-    n_sym = len(first.alphabet)
     start = (first.initial, second.initial)
+    pairs = [start]
     numbering = {start: 0}
-    pending = deque([start])
     rows = []
     accepting = set()
-    while pending:
-        p, q = pending.popleft()
-        index = numbering[(p, q)]
+    for index, (p, q) in enumerate(pairs):  # pairs grows while it is read: it is its own queue
         in_first = p in first.accepting
         in_second = q in second.accepting
         if mode == "union":
@@ -449,11 +450,10 @@ def product(first: Dfa, second: Dfa, mode: str) -> Dfa:
         if hit:
             accepting.add(index)
         row = []
-        for c in range(n_sym):
-            target = (first.transitions[p][c], second.transitions[q][c])
+        for target in zip(first.transitions[p], second.transitions[q]):
             if target not in numbering:
-                numbering[target] = len(numbering)
-                pending.append(target)
+                numbering[target] = len(pairs)
+                pairs.append(target)
             row.append(numbering[target])
         rows.append(tuple(row))
     return Dfa(first.alphabet, rows, 0, accepting)
@@ -503,11 +503,12 @@ def is_literally_idempotent(min_dfa: Dfa) -> bool:
     DFA this decides literal idempotency of the language: states reached by
     xa and xaa must agree for every continuation.
     """
-    for row in min_dfa.transitions:
-        for c, t in enumerate(row):
-            if min_dfa.transitions[t][c] != t:
-                return False
-    return True
+    return all(map(_is_idempotent, min_dfa._columns))
+
+
+def _is_idempotent(t: Sequence[int]) -> bool:
+    """True iff the transformation t (q -> t[q]) composed with itself is t."""
+    return tuple(map(t.__getitem__, t)) == t
 
 
 def variation(dfa: Dfa, word: Word) -> int:
@@ -528,22 +529,19 @@ def is_partially_ordered(dfa: Dfa) -> bool:
 
 
 def sup_variation(dfa: Dfa) -> int | float:
-    """Largest variation over all words: the longest change-edge path from the
-    initial state, or math.inf when the change graph has a cycle."""
-    bound, _ = _longest_change_path(dfa)
-    return bound
+    """Largest variation over all words, or math.inf when the change graph
+    has a cycle: the length of sup_variation_witness, each of whose letters
+    is one change edge."""
+    witness = sup_variation_witness(dfa)
+    return math.inf if witness is None else len(witness)
 
 
 def sup_variation_witness(dfa: Dfa) -> tuple[str, ...] | None:
-    """A word attaining sup_variation(dfa), or None when that is infinite."""
-    _, witness = _longest_change_path(dfa)
-    return witness
-
-
-def _longest_change_path(dfa: Dfa) -> tuple[int | float, tuple[str, ...] | None]:
+    """A word attaining sup_variation(dfa), spelling a longest change-edge
+    path from the initial state; None when that is infinite."""
     order = dfa._change_order
     if order is None:
-        return math.inf, None
+        return None
     # the initial state is the only source, so it comes first and every later
     # state has a change edge from an earlier one: each has dist when visited
     dist: dict[int, int] = {dfa.initial: 0}
@@ -553,11 +551,10 @@ def _longest_change_path(dfa: Dfa) -> tuple[int | float, tuple[str, ...] | None]
             if t != q and dist[q] + 1 > dist.get(t, -1):
                 dist[t] = dist[q] + 1
                 back[t] = (q, sym)
-    best = max(order, key=dist.__getitem__)  # the first maximal state in order
+    q = max(order, key=dist.__getitem__)  # the first maximal state in order
     word: list[str] = []
-    q = best
     while q in back:
         q, sym = back[q]
         word.append(sym)
     word.reverse()
-    return dist[best], tuple(word)
+    return tuple(word)

@@ -66,12 +66,13 @@ def confluence_violation(min_dfa: Dfa) -> tuple[int, str, str] | None:
     # confluence holds iff every state reaches a unique state fixed by both
     # letters, its {a, b}-sink.  Visiting successors before predecessors
     # gives each state's sink from those of q.a and q.b.
-    trans = min_dfa.transitions
+    cols = min_dfa._columns
     alphabet = min_dfa.alphabet
     sink = [0] * min_dfa.state_count
     for i, j in itertools.combinations(range(len(alphabet)), 2):
+        col_a, col_b = cols[i], cols[j]
         for q in reversed(order):
-            qa, qb = trans[q][i], trans[q][j]
+            qa, qb = col_a[q], col_b[q]
             if qa == q:
                 sink[q] = q if qb == q else sink[qb]
             elif qb == q or sink[qa] == sink[qb]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from operator import itemgetter
 
@@ -17,14 +18,18 @@ from moqfa import (
     is_block_group,
     is_j_trivial,
     is_l_trivial,
+    is_literally_idempotent,
     is_r_trivial,
     letters_idempotent,
     minimize,
     random_dfa,
     serialize_dfa,
+    sup_variation,
+    sup_variation_witness,
     transition_monoid,
 )
 from moqfa import algebra
+from moqfa.automata import _first_appearance, _is_idempotent
 from moqfa.cli import main
 
 import oracles
@@ -347,6 +352,71 @@ def test_closure_matches_the_tuple_reference():
         assert {type(x) for x in m._raw} == {bytes if d.state_count <= 256 else tuple}
     cycles = [green_report(d) for d in dfas[-3:]]
     assert cycles == [(n, False, False, False, True, False, 1) for n in (255, 256, 257)]
+
+
+def reference_literally_idempotent(d: Dfa) -> bool:
+    """The literal-idempotency test row by row, before it read the columns."""
+    for row in d.transitions:
+        for c, t in enumerate(row):
+            if d.transitions[t][c] != t:
+                return False
+    return True
+
+
+def reference_kernel(e) -> tuple[int, ...]:
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(q, len(first)) for q in e)
+
+
+def reference_compose(first, then) -> tuple[int, ...]:
+    return itemgetter(*first)(then) if len(first) > 1 else tuple(then[q] for q in first)
+
+
+def reference_longest_change_path(d: Dfa):
+    """sup_variation and its witness from one pass, as they were computed
+    before the bound was read off the witness."""
+    order = d._change_order
+    if order is None:
+        return math.inf, None
+    dist, back = {d.initial: 0}, {}
+    for q in order:
+        for sym, t in zip(d.alphabet, d.transitions[q]):
+            if t != q and dist[q] + 1 > dist.get(t, -1):
+                dist[t] = dist[q] + 1
+                back[t] = (q, sym)
+    best = max(order, key=dist.__getitem__)
+    word, q = [], best
+    while q in back:
+        q, sym = back[q]
+        word.append(sym)
+    return dist[best], tuple(reversed(word))
+
+
+def test_letter_columns_and_their_readers_match_the_row_forms():
+    dfas = [*census(3, "ab").values(), *census(2, "abc").values()]
+    dfas += [*support.random_corpus(), *map(minimize, support.random_corpus())]
+    dfas += [Dfa("ab", [(0, 0)], 0, {0}), Dfa((), [()], 0, ())]
+    for d in dfas:
+        assert d._columns == tuple(zip(*d.transitions))
+        assert is_literally_idempotent(d) == reference_literally_idempotent(d)
+        assert (sup_variation(d), sup_variation_witness(d)) == reference_longest_change_path(d)
+        minimal = minimize(d)
+        m = transition_monoid(minimal)
+        gens = list(m.generator_map.values())
+        assert gens == list(zip(*minimal.transitions))
+        assert letters_idempotent(m) == all(reference_compose(g, g) == g for g in gens)
+        for x in m.elements[:50]:
+            assert _is_idempotent(x) == (reference_compose(x, x) == x)
+            assert tuple(_first_appearance(x)[0]) == reference_kernel(x)
+            for g in gens:
+                assert compose(x, g) == reference_compose(x, g)
+                assert compose(g, x) == reference_compose(g, x)
+        idempotents = m.idempotents()
+        assert algebra._distinct_kernels_and_images(m._idempotents()) == (
+            len(set(map(reference_kernel, idempotents)))
+            == len(set(map(frozenset, idempotents)))
+            == len(idempotents)
+        )
 
 
 @given(data=st.data(), n=st.integers(1, 9))
