@@ -13,19 +13,21 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("errors", "FormatError PatternError ResourceLimitError"),
-        ("patterns", "SparseAcceptor SubsequencePattern pattern_acceptor"),
+        (
+            "patterns",
+            "SparseAcceptor SubsequencePattern cutpoint_params pattern_acceptor pattern_dfa",
+        ),
         (
             "quantum",
             "EPS CutpointReport DensityMatrix MeasureOnlyAutomaton Observable WordCheck "
-            "acceptance_probability acceptance_probabilities cutpoint_params format_automaton "
-            "identity_observable measure parse_automaton pattern_automaton recognizes_with_cutpoint "
-            "validate_observable",
+            "acceptance_probability acceptance_probabilities format_automaton identity_observable "
+            "measure parse_automaton pattern_automaton recognizes_with_cutpoint validate_observable",
         ),
         (
             "automata",
             "Dfa complement equivalent is_empty is_literally_idempotent is_partially_ordered "
-            "minimize parse_dfa pattern_dfa product serialize_dfa sup_variation "
-            "sup_variation_witness variation",
+            "minimize parse_dfa product serialize_dfa sup_variation sup_variation_witness "
+            "variation",
         ),
         (
             "algebra",

@@ -1,5 +1,6 @@
 """Total deterministic finite automata: parsing, minimization, boolean algebra,
-literal idempotency, and variation analysis."""
+literal idempotency, and variation analysis.  Of moqfa it imports only
+`errors`; `moqfa.patterns` builds the shuffle-ideal DFA of a pattern."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import FormatError, _check_alphabet, _Frozen, _TokenLines
-from .patterns import SubsequencePattern
 
 Word = Sequence[str]
 
@@ -80,7 +80,7 @@ class Dfa(_Frozen):
     def symbol_index(self, symbol: str) -> int:
         try:
             return self._symbol_index[symbol]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable symbol
             raise ValueError(f"symbol {symbol!r} is not in the alphabet") from None
 
     def delta(self, state: int, symbol: str) -> int:
@@ -469,27 +469,6 @@ def equivalent(first: Dfa, second: Dfa) -> bool:
     return is_empty(product(first, second, "difference")) and is_empty(
         product(second, first, "difference")
     )
-
-
-# ---------------------------------------------------------------------------
-# the canonical shuffle-ideal DFA
-
-
-def pattern_dfa(pattern: SubsequencePattern) -> Dfa:
-    """Minimal DFA of the pattern's shuffle ideal.
-
-    State i means "the first i pattern letters have been matched"; state k is
-    absorbing and the only accepting state.  Already canonical: minimize()
-    returns it unchanged.
-    """
-    k = len(pattern.letters)
-    rows = []
-    for i in range(k):
-        rows.append(
-            tuple(i + 1 if sym == pattern.letters[i] else i for sym in pattern.alphabet)
-        )
-    rows.append(tuple(k for _ in pattern.alphabet))
-    return Dfa(pattern.alphabet, rows, 0, {k})
 
 
 # ---------------------------------------------------------------------------

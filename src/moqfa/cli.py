@@ -54,8 +54,7 @@ def _quoted_words(words) -> str:
 
 
 def _cmd_synth(args) -> int:
-    from .patterns import pattern_acceptor
-    from .quantum import cutpoint_params, format_automaton
+    from .patterns import cutpoint_params, pattern_acceptor
 
     pattern = _pattern_from_args(args)
     cutpoint, isolation = cutpoint_params(pattern)
@@ -64,6 +63,8 @@ def _cmd_synth(args) -> int:
     print(f"lambda: {_fmt(cutpoint)}")
     print(f"delta: {_fmt(isolation)}")
     if args.emit:
+        from .quantum import format_automaton
+
         with open(args.emit, "w", encoding="utf-8") as file:
             file.write(format_automaton(acceptor))
     return EXIT_OK

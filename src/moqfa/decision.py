@@ -17,10 +17,10 @@ from typing import NamedTuple
 
 from .automata import Dfa, is_literally_idempotent, is_partially_ordered, minimize
 from .errors import DEFAULT_ELEMENT_CAP, DEFAULT_WORD_BUDGET, ResourceLimitError
-from .patterns import SubsequencePattern, pattern_acceptor
+from .patterns import SubsequencePattern, cutpoint_params, pattern_acceptor
 # `measure` is unused here; it stays a module attribute because the verify
 # workload of perfbench/workloads.py traces `decision.measure` by that name.
-from .quantum import cutpoint_params, measure
+from .quantum import measure
 
 NOT_LI = "NOT_LI"
 NOT_PT = "NOT_PT"

@@ -4,8 +4,9 @@ The pattern acceptor started on a basis state keeps its density matrix
 diagonal, with dyadic entries, and two words that reach the same pair
 (pattern progress, diagonal state) have the same future.  So every word up to
 a length is checked by walking the distinct pairs of each length in exact
-rational arithmetic, each letter's step read from the nonzero projector
-entries of the acceptor's sparse form (`moqfa.patterns.SparseAcceptor`);
+rational arithmetic: the progress by the table of `moqfa.patterns.pattern_dfa`,
+which `SubsequencePattern.matches` also runs, and the state by the nonzero
+projector entries of the acceptor's sparse form (`moqfa.patterns.SparseAcceptor`);
 `moqfa.decision.verify_construction` is the public entry point.  The same
 step table evaluates words in floats for `moqfa prob --letters`
 (`pattern_probabilities`).  Neither walk builds a matrix or imports numpy.
@@ -17,7 +18,8 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .patterns import SparseAcceptor, SubsequencePattern, _common_denominator, pattern_acceptor
+from .patterns import SparseAcceptor, SubsequencePattern, _common_denominator
+from .patterns import pattern_acceptor, pattern_dfa
 
 
 def check_pattern_acceptor(
@@ -37,9 +39,6 @@ def check_pattern_acceptor(
     and every letter's image of every diagonal basis state are exactly
     diagonal.
     """
-    # imported on use: `prob --letters` steps no pairs and loads no DFA code
-    from .automata import pattern_dfa
-
     walk = _PairWalk(pattern, acceptor, pattern_dfa(pattern).transitions)
     lam, radius = Fraction(cutpoint), Fraction(isolation)
     verdicts = {}  # state -> (accepted, isolated, margin)
@@ -77,9 +76,10 @@ def pattern_probabilities(pattern: SubsequencePattern, words) -> Iterator[float]
     for word in words:
         state = [x / den for x in start]
         for sym in word:
-            if sym not in steps:
-                raise ValueError(f"symbol {sym!r} is not in the alphabet")
-            columns, scale = steps[sym]
+            try:
+                columns, scale = steps[sym]
+            except (KeyError, TypeError):  # TypeError: an unhashable symbol
+                raise ValueError(f"symbol {sym!r} is not in the alphabet") from None
             state = [sum(w * state[r] for r, w in column) / scale for column in columns]
         p = sum(a * x for a, x in zip(walk.accept, state)) / walk.accept_den
         yield min(1.0, max(0.0, p))

@@ -1,5 +1,6 @@
-"""Letter patterns, the shuffle-ideal languages they denote, and the
-measurement-only acceptor of a pattern written as exact sparse data.
+"""Letter patterns and what each one builds: the minimal DFA of its shuffle
+ideal, its measurement-only acceptor written as exact sparse data, and that
+acceptor's cut point.
 
 This module imports no matrix library: `moqfa.exact` walks the sparse form
 directly, and `moqfa.quantum` writes it as text or renders it into matrices.
@@ -9,9 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import PatternError, _check_alphabet, _Frozen
+
+if TYPE_CHECKING:
+    from .automata import Dfa
 
 
 class SubsequencePattern(_Frozen):
@@ -42,15 +46,39 @@ class SubsequencePattern(_Frozen):
                 )
 
     def matches(self, word: Iterable[str]) -> bool:
-        """True iff the pattern is a subsequence of `word` (greedy scan)."""
-        need = self.letters
-        pos = 0
-        for sym in word:
-            if sym not in self.alphabet:
-                raise ValueError(f"symbol {sym!r} is not in the alphabet")
-            if pos < len(need) and sym == need[pos]:
-                pos += 1
-        return pos == len(need)
+        """True iff the pattern is a subsequence of `word`: the run of
+        `pattern_dfa`.  A symbol outside the alphabet raises ValueError."""
+        return pattern_dfa(self).accepts(word)
+
+
+def pattern_dfa(pattern: SubsequencePattern) -> Dfa:
+    """Minimal DFA of the pattern's shuffle ideal.
+
+    State i means "the first i pattern letters have been matched"; state k is
+    absorbing and the only accepting state.  Already canonical: minimize()
+    returns it unchanged.
+    """
+    # imported on use: walking the acceptor (`prob --letters`) loads no DFA code
+    from .automata import Dfa
+
+    letters, alphabet = pattern.letters, pattern.alphabet
+    rows = [tuple(i + 1 if sym == a else i for sym in alphabet) for i, a in enumerate(letters)]
+    rows.append((len(letters),) * len(alphabet))
+    return Dfa(alphabet, rows, 0, {len(letters)})
+
+
+def cutpoint_params(pattern: SubsequencePattern) -> tuple[float, float]:
+    """Cut point and isolation radius of the pattern acceptor.
+
+    Returns (2^-(2k+1), 2^-(2k+2)) for a pattern of length k, both exact
+    binary floating-point values.  From k = 537 the radius underflows to 0,
+    which would make every isolation check vacuous, so that raises ValueError.
+    """
+    k = len(pattern.letters)
+    radius = math.ldexp(1.0, -(2 * k + 2))
+    if not radius > 0:
+        raise ValueError(f"isolation radius 2^-{2 * k + 2} of a {k}-letter pattern underflows")
+    return 2 * radius, radius
 
 
 # one projector: each nonzero 0-based (row, col) entry mapped to its value

@@ -6,13 +6,13 @@ nonselective measurement channel rho -> sum_i P_i rho P_i of that letter's
 observable; the acceptance probability is then the probability mass the final
 state assigns to the accepting outcomes of the end-word observable.
 
-`pattern_automaton` renders the canonical acceptor for a subsequence pattern,
-which `moqfa.patterns.pattern_acceptor` writes as exact sparse data, into
-matrices: dimension k+1 tracking subsequence progress, an up/down projector
-pair for every pattern letter, the identity observable for all other
-letters, and an end-word observable that accepts on the last coordinate.
-That acceptor separates members from non-members of the pattern's shuffle
-ideal around the cut point 2^-(2k+1) with isolation radius 2^-(2k+2).
+`pattern_automaton` renders into matrices the acceptor of a subsequence
+pattern that `moqfa.patterns.pattern_acceptor` writes as exact sparse data:
+dimension k+1 tracking subsequence progress, an up/down projector pair for
+every pattern letter, the identity observable for all other letters, and an
+end-word observable that accepts on the last coordinate.  Its cut point and
+isolation radius, 2^-(2k+1) and 2^-(2k+2), come from
+`moqfa.patterns.cutpoint_params`.
 
 Each function that builds a matrix imports numpy in its body, so importing
 this module does not import numpy; `format_automaton` writes any acceptor
@@ -299,9 +299,10 @@ def acceptance_probabilities(auto: MeasureOnlyAutomaton, words: Iterable[Word]) 
     for word in words:
         rho = start
         for sym in word:
-            stack = channels.get(sym)
-            if stack is None:
-                raise ValueError(f"symbol {sym!r} is not in the alphabet")
+            try:
+                stack = channels[sym]
+            except (KeyError, TypeError):  # TypeError: an unhashable symbol
+                raise ValueError(f"symbol {sym!r} is not in the alphabet") from None
             rho = _channel(stack, rho)
         yield min(1.0, max(0.0, float(np.trace(accepting @ rho).real)))
 
@@ -343,20 +344,6 @@ def pattern_automaton(pattern: SubsequencePattern) -> MeasureOnlyAutomaton:
         observable(acceptor.end_observable),
         acceptor.accepting,
     )
-
-
-def cutpoint_params(pattern: SubsequencePattern) -> tuple[float, float]:
-    """Cut point and isolation radius of the pattern acceptor.
-
-    Returns (2^-(2k+1), 2^-(2k+2)) for a pattern of length k, both exact
-    binary floating-point values.  From k = 537 the radius underflows to 0,
-    which would make every isolation check vacuous, so that raises ValueError.
-    """
-    k = len(pattern.letters)
-    radius = math.ldexp(1.0, -(2 * k + 2))
-    if not radius > 0:
-        raise ValueError(f"isolation radius 2^-{2 * k + 2} of a {k}-letter pattern underflows")
-    return 2 * radius, radius
 
 
 class WordCheck(NamedTuple):

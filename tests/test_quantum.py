@@ -349,6 +349,15 @@ def test_the_channel_equals_a_python_sum_bit_for_bit():
             assert (rho.matrix == expected).all()
 
 
+@pytest.mark.parametrize("symbol", [["a"], {"a": 1}], ids=["list", "dict"])
+def test_an_unhashable_symbol_is_not_in_the_alphabet(symbol):
+    p, words = pattern("a", "ab"), [["a", symbol]]
+    matrices = acceptance_probabilities(pattern_automaton(p), words)
+    for walk in (matrices, pattern_probabilities(p, words)):
+        with pytest.raises(ValueError, match=r"symbol .* is not in the alphabet"):
+            next(walk)
+
+
 def test_acceptance_probabilities_reject_a_foreign_symbol_in_a_later_word():
     auto = pattern_automaton(pattern("ab", "ab"))
     probabilities = acceptance_probabilities(auto, ["ab", "a", "abx"])
