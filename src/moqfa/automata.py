@@ -19,29 +19,32 @@ Word = Sequence[str]
 class Dfa(_Frozen):
     """Complete DFA over an ordered alphabet; states are 0..n-1.
 
-    transitions[state][symbol_index] gives the successor state; the map must
-    be total.  Instances are immutable, so structural equality of two
-    canonically minimized automata coincides with language equality.  The
-    cached properties are not fields: ==, hash and repr ignore them.
+    Stored as its letter columns: _columns[c][q] is state q's successor on
+    the c-th symbol; the map must be total, and transitions[q][c] is the
+    same table by rows, built when first read.  Instances are immutable, so
+    structural equality of two canonically minimized automata coincides
+    with language equality; == and hash compare the _stored fields, and
+    ignore the cached properties, as repr does.
     """
 
     alphabet: tuple[str, ...]
-    transitions: tuple[tuple[int, ...], ...]
+    transitions: tuple[tuple[int, ...], ...]  # the cached row view below
     initial: int
     accepting: frozenset[int]
+    _stored = ("alphabet", "_columns", "state_count", "initial", "accepting")
 
     def __init__(self, alphabet, transitions, initial, accepting):
         alphabet = _check_alphabet(alphabet)
-        transitions = tuple(tuple(row) for row in transitions)
+        rows = list(map(tuple, transitions))
+        n, k = len(rows), len(alphabet)
         accepting = frozenset(accepting)
-        n = len(transitions)
         if n < 1:
             raise ValueError("a DFA needs at least one state")
         # states are ints proper: a float or bool state would be written to
         # the text format as a token the parser refuses
-        for q, row in enumerate(transitions):
-            if len(row) != len(alphabet):
-                raise ValueError(f"state {q} has {len(row)} transitions, expected {len(alphabet)}")
+        for q, row in enumerate(rows):
+            if len(row) != k:
+                raise ValueError(f"state {q} has {len(row)} transitions, expected {k}")
             for t in row:
                 if type(t) is not int or not 0 <= t < n:
                     raise ValueError(f"state {q} has an out-of-range successor {t!r}")
@@ -50,25 +53,28 @@ class Dfa(_Frozen):
         for q in accepting:
             if type(q) is not int or not 0 <= q < n:
                 raise ValueError(f"accepting state {q!r} out of range")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "accepting", accepting)
+        cols = tuple(tuple(map(itemgetter(c), rows)) for c in range(k))
+        vars(self).update(zip(self._stored, (alphabet, cols, n, initial, accepting)))
 
-    @property
-    def state_count(self) -> int:
-        return len(self.transitions)
+    @classmethod
+    def _of_columns(cls, *fields) -> Dfa:
+        """The Dfa of the _stored fields as its caller has checked them: the
+        alphabet rule, n >= 1, int states below n, accepting a frozenset."""
+        dfa = object.__new__(cls)
+        vars(dfa).update(zip(cls._stored, fields))
+        return dfa
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._stored))
+
+    @cached_property
+    def transitions(self) -> tuple[tuple[int, ...], ...]:
+        """The table by rows: transitions[q][c] is _columns[c][q]."""
+        return tuple(zip(*self._columns)) if self._columns else ((),) * self.state_count
 
     @cached_property
     def _symbol_index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.alphabet)}
-
-    @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        """One successor tuple per letter: _columns[c][q] is transitions[q][c].
-        Built with no object per state; zip(*transitions) would make an
-        iterator per state, enough to set off extra garbage-collector passes."""
-        return tuple(tuple(map(itemgetter(c), self.transitions)) for c in range(len(self.alphabet)))
 
     @cached_property
     def _change_order(self) -> tuple[int, ...] | None:
@@ -84,13 +90,13 @@ class Dfa(_Frozen):
             raise ValueError(f"symbol {symbol!r} is not in the alphabet") from None
 
     def delta(self, state: int, symbol: str) -> int:
-        return self.transitions[state][self.symbol_index(symbol)]
+        return self._columns[self.symbol_index(symbol)][state]
 
     def run(self, word: Word) -> int:
         """Final state after reading `word` from the initial state."""
         state = self.initial
         for sym in word:
-            state = self.transitions[state][self.symbol_index(sym)]
+            state = self._columns[self.symbol_index(sym)][state]
         return state
 
     def accepts(self, word: Word) -> bool:
@@ -184,8 +190,9 @@ def parse_dfa(text: str) -> Dfa:
             f"missing transition for state {key // k} on {alphabet[key % k]!r}",
             rows.last_line,
         )
-    flat = list(map(table.__getitem__, range(n * k)))
-    return Dfa(alphabet, [flat[q * k : q * k + k] for q in range(n)], initial, accepting)
+    flat = tuple(map(table.__getitem__, range(n * k)))
+    columns = tuple(flat[c::k] for c in range(k))
+    return Dfa._of_columns(alphabet, columns, n, initial, frozenset(accepting))
 
 
 # The exact form serialize_dfa writes: fields separated by one space, every
@@ -202,40 +209,43 @@ _WRITER_TRANS = r"(?:trans [0-9]{1,18} \S [0-9]{1,18}\n)*"
 def _parse_writer_form(text: str) -> Dfa | None:
     """parse_dfa's result for a text in the form serialize_dfa writes, with
     the trans lines in its order, built column by column with no object per
-    line; None for any other text, which the line loop then reads.
+    line or state; None for any other text, which the line loop then reads.
 
-    Never raises: every error of the format is the line loop's to report.
-    Dfa checks the alphabet and the initial, accepting and target states.
+    Never raises: every error of the format is the line loop's to report,
+    the alphabet rule and the state count and ranges among them.
     """
     header = re.match(_WRITER_HEADER, text)
     if header is None:
         return None
-    alphabet = header[2].split()
-    table = _writer_table(text[header.end() :], int(header[1]), alphabet)
-    if table is None:
-        return None
-    # consecutive runs of k successors are the rows, as tuples
-    rows = zip(*[iter(table)] * len(alphabet))
     try:
-        return Dfa(alphabet, rows, int(header[3]), map(int, header[4].split()))
-    except ValueError:  # the alphabet rule or a state out of range
+        alphabet = _check_alphabet(header[2].split())
+    except ValueError:
         return None
+    n, initial, accepting = int(header[1]), int(header[3]), frozenset(map(int, header[4].split()))
+    if n < 1 or max((initial, *accepting)) >= n:
+        return None
+    table = _writer_table(text[header.end() :], n, alphabet)
+    if table is None or max(table) >= n:
+        return None
+    # every k-th successor, from the c-th on, is the column of letter c
+    k = len(alphabet)
+    return Dfa._of_columns(alphabet, tuple(table[c::k] for c in range(k)), n, initial, accepting)
 
 
-def _writer_table(body: str, n: int, alphabet: list[str]) -> list[int] | None:
+def _writer_table(body: str, n: int, alphabet: tuple[str, ...]) -> tuple[int, ...] | None:
     """The successors of the n x |alphabet| trans lines `body` when they come
     in the order serialize_dfa writes, where the target column is the table;
     None for any other lines or order, which the line loop then reads.  A
-    function of its own so that the fields are freed before the rows are
-    built, since the collector's passes during that build would scan them."""
+    function of its own so that the fields are freed before the columns are
+    sliced from the table."""
     # the count is checked before _state_major builds n names from the header
     if body.count("\n") != n * len(alphabet) or re.fullmatch(_WRITER_TRANS, body) is None:
         return None
     fields = body.split()
-    return list(map(int, fields[3::4])) if _state_major(fields, n, alphabet) else None
+    return tuple(map(int, fields[3::4])) if _state_major(fields, n, alphabet) else None
 
 
-def _state_major(fields: list[str], n: int, alphabet: list[str]) -> bool:
+def _state_major(fields: list[str], n: int, alphabet: tuple[str, ...]) -> bool:
     """True iff the n x |alphabet| trans lines split into `fields` come in the
     order serialize_dfa writes: sources 0..n-1, each over the alphabet in
     order, each source without leading zeros.  One slice comparison per letter
@@ -256,7 +266,7 @@ def serialize_dfa(dfa: Dfa) -> str:
     lines.append("alphabet " + " ".join(dfa.alphabet))
     lines.append(f"initial {dfa.initial}")
     lines.append(("accepting " + " ".join(str(q) for q in sorted(dfa.accepting))).rstrip())
-    for q, row in enumerate(dfa.transitions):
+    for q, row in enumerate(zip(*dfa._columns)):  # rows made one at a time, none kept
         for sym, t in zip(dfa.alphabet, row):
             lines.append(f"trans {q} {sym} {t}")
     return "\n".join(lines) + "\n"
@@ -268,10 +278,12 @@ def serialize_dfa(dfa: Dfa) -> str:
 
 def _reachable_order(dfa: Dfa) -> list[int]:
     """States reachable from the initial state, in BFS discovery order."""
+    cols = dfa._columns
     order = [dfa.initial]
     seen = {dfa.initial}
     for q in order:  # order grows while it is read: it is its own queue
-        for t in dfa.transitions[q]:
+        for col in cols:
+            t = col[q]
             if t not in seen:
                 seen.add(t)
                 order.append(t)
@@ -401,9 +413,9 @@ def minimize(dfa: Dfa) -> Dfa:
     # first state of an earlier class, so this is the quotient's BFS numbering.
     first = dict(zip(reversed(cls), reversed(range(m))))  # class -> its first position
     reps = list(map(first.__getitem__, range(len(first))))
-    # over no letters only the initial state is reachable, and its row is empty
-    rows = zip(*(map(cls.__getitem__, map(col.__getitem__, reps)) for col in cols)) if cols else [()]
-    return Dfa(dfa.alphabet, rows, 0, compress(range(len(reps)), map(accepting.__getitem__, reps)))
+    columns = tuple(tuple(map(cls.__getitem__, map(col.__getitem__, reps))) for col in cols)
+    final = frozenset(compress(range(len(reps)), map(accepting.__getitem__, reps)))
+    return Dfa._of_columns(dfa.alphabet, columns, len(reps), 0, final)
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +423,8 @@ def minimize(dfa: Dfa) -> Dfa:
 
 
 def complement(dfa: Dfa) -> Dfa:
-    return Dfa(
-        dfa.alphabet,
-        dfa.transitions,
-        dfa.initial,
-        frozenset(range(dfa.state_count)) - dfa.accepting,
-    )
+    rejecting = frozenset(range(dfa.state_count)) - dfa.accepting
+    return Dfa._of_columns(dfa.alphabet, dfa._columns, dfa.state_count, dfa.initial, rejecting)
 
 
 PRODUCT_MODES = ("union", "intersection", "difference")
@@ -436,7 +444,8 @@ def product(first: Dfa, second: Dfa, mode: str) -> Dfa:
     start = (first.initial, second.initial)
     pairs = [start]
     numbering = {start: 0}
-    rows = []
+    letters = list(zip(first._columns, second._columns))
+    columns: list[list[int]] = [[] for _ in letters]
     accepting = set()
     for index, (p, q) in enumerate(pairs):  # pairs grows while it is read: it is its own queue
         in_first = p in first.accepting
@@ -449,14 +458,14 @@ def product(first: Dfa, second: Dfa, mode: str) -> Dfa:
             hit = in_first and not in_second
         if hit:
             accepting.add(index)
-        row = []
-        for target in zip(first.transitions[p], second.transitions[q]):
+        for column, (col_first, col_second) in zip(columns, letters):
+            target = (col_first[p], col_second[q])
             if target not in numbering:
                 numbering[target] = len(pairs)
                 pairs.append(target)
-            row.append(numbering[target])
-        rows.append(tuple(row))
-    return Dfa(first.alphabet, rows, 0, accepting)
+            column.append(numbering[target])
+    columns = tuple(map(tuple, columns))
+    return Dfa._of_columns(first.alphabet, columns, len(pairs), 0, frozenset(accepting))
 
 
 def is_empty(dfa: Dfa) -> bool:
@@ -495,7 +504,7 @@ def variation(dfa: Dfa, word: Word) -> int:
     changes = 0
     state = dfa.initial
     for sym in word:
-        nxt = dfa.transitions[state][dfa.symbol_index(sym)]
+        nxt = dfa._columns[dfa.symbol_index(sym)][state]
         if nxt != state:
             changes += 1
         state = nxt
@@ -525,8 +534,10 @@ def sup_variation_witness(dfa: Dfa) -> tuple[str, ...] | None:
     # state has a change edge from an earlier one: each has dist when visited
     dist: dict[int, int] = {dfa.initial: 0}
     back: dict[int, tuple[int, str]] = {}
+    letters = list(zip(dfa.alphabet, dfa._columns))
     for q in order:
-        for sym, t in zip(dfa.alphabet, dfa.transitions[q]):
+        for sym, col in letters:
+            t = col[q]
             if t != q and dist[q] + 1 > dist.get(t, -1):
                 dist[t] = dist[q] + 1
                 back[t] = (q, sym)

@@ -44,11 +44,11 @@ def _check_alphabet(symbols) -> tuple[str, ...]:
 class _Frozen:
     """Base of the classes whose constructors validate their fields.
 
-    __init__ sets the fields, the names the class annotates, once each
-    through object.__setattr__; assigning or deleting any attribute later
+    __init__ sets the fields, the names the class annotates, once each,
+    bypassing __setattr__; assigning or deleting any attribute later
     raises AttributeError.  repr shows the fields, and == and hash compare
-    them between instances of the same class; a class that holds arrays
-    restores identity equality.
+    _values(), the fields unless a class stores others, between instances
+    of one class; a class that holds arrays restores identity equality.
     """
 
     def __setattr__(self, name, value):
@@ -61,8 +61,8 @@ class _Frozen:
         return tuple(getattr(self, name) for name in type(self).__annotations__)
 
     def __repr__(self):
-        fields = zip(type(self).__annotations__, self._values())
-        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in type(self).__annotations__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

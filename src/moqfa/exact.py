@@ -4,9 +4,10 @@ The pattern acceptor started on a basis state keeps its density matrix
 diagonal, with dyadic entries, and two words that reach the same pair
 (pattern progress, diagonal state) have the same future.  So every word up to
 a length is checked by walking the distinct pairs of each length in exact
-rational arithmetic: the progress by the table of `moqfa.patterns.pattern_dfa`,
-which `SubsequencePattern.matches` also runs, and the state by the nonzero
-projector entries of the acceptor's sparse form (`moqfa.patterns.SparseAcceptor`);
+rational arithmetic: the progress by the columns of `moqfa.patterns.pattern_dfa`,
+the DFA that `SubsequencePattern.matches` caches and runs, and the state by
+the nonzero projector entries of the acceptor's sparse form
+(`moqfa.patterns.SparseAcceptor`);
 `moqfa.decision.verify_construction` is the public entry point.  The same
 step table evaluates words in floats for `moqfa prob --letters`
 (`pattern_probabilities`).  Neither walk builds a matrix or imports numpy.
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .patterns import SparseAcceptor, SubsequencePattern, _common_denominator
-from .patterns import pattern_acceptor, pattern_dfa
+from .patterns import pattern_acceptor
 
 
 def check_pattern_acceptor(
@@ -39,7 +40,7 @@ def check_pattern_acceptor(
     and every letter's image of every diagonal basis state are exactly
     diagonal.
     """
-    walk = _PairWalk(pattern, acceptor, pattern_dfa(pattern).transitions)
+    walk = _PairWalk(pattern, acceptor, pattern._dfa._columns)
     lam, radius = Fraction(cutpoint), Fraction(isolation)
     verdicts = {}  # state -> (accepted, isolated, margin)
     misclassified, violations = [], []
@@ -93,7 +94,7 @@ class _PairWalk:
     Letter a sends E_rr to Phi_a(E_rr) = sum_i P_i[:, r] P_i[r, :], summed in
     outcome order from the nonzero entries of each projector P_i; column s of
     its step lists each nonzero (r, Phi_a(E_rr)[s, s] * scale).  `advance`,
-    the pattern DFA's transitions, is read only where pairs are stepped.
+    the pattern DFA's letter columns, is read only where pairs are stepped.
     """
 
     def __init__(self, pattern: SubsequencePattern, acceptor: SparseAcceptor, advance=()):
@@ -148,9 +149,9 @@ class _PairWalk:
         if found is None:
             progress, state = pair
             found = []
-            for q, (columns, scale) in zip(self.advance[progress], self.steps):
+            for advance, (columns, scale) in zip(self.advance, self.steps):
                 entries = [sum(w * state[r] for r, w in column) for column in columns]
-                found.append((q, _reduced(entries + [state[-1] * scale])))
+                found.append((advance[progress], _reduced(entries + [state[-1] * scale])))
             found = self._successors[pair] = tuple(found)
         return found
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import PatternError, _check_alphabet, _Frozen
@@ -45,10 +46,14 @@ class SubsequencePattern(_Frozen):
                     f"(positions {i + 1} and {i + 2} are both {self.letters[i]!r})"
                 )
 
+    @cached_property
+    def _dfa(self) -> Dfa:  # not a field: ==, hash and repr ignore it
+        return pattern_dfa(self)
+
     def matches(self, word: Iterable[str]) -> bool:
         """True iff the pattern is a subsequence of `word`: the run of
         `pattern_dfa`.  A symbol outside the alphabet raises ValueError."""
-        return pattern_dfa(self).accepts(word)
+        return self._dfa.accepts(word)
 
 
 def pattern_dfa(pattern: SubsequencePattern) -> Dfa:
@@ -61,10 +66,10 @@ def pattern_dfa(pattern: SubsequencePattern) -> Dfa:
     # imported on use: walking the acceptor (`prob --letters`) loads no DFA code
     from .automata import Dfa
 
-    letters, alphabet = pattern.letters, pattern.alphabet
-    rows = [tuple(i + 1 if sym == a else i for sym in alphabet) for i, a in enumerate(letters)]
-    rows.append((len(letters),) * len(alphabet))
-    return Dfa(alphabet, rows, 0, {len(letters)})
+    letters, alphabet, k = pattern.letters, pattern.alphabet, len(pattern.letters)
+    # letter sym sends state i < k to i + 1 where it is the (i+1)-th pattern letter
+    columns = tuple((*(i + (a == sym) for i, a in enumerate(letters)), k) for sym in alphabet)
+    return Dfa._of_columns(alphabet, columns, k + 1, 0, frozenset({k}))
 
 
 def cutpoint_params(pattern: SubsequencePattern) -> tuple[float, float]:

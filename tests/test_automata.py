@@ -118,6 +118,60 @@ def test_dfa_states_must_be_ints(transitions, initial, accepting):
         Dfa("ab", transitions, initial, accepting)
 
 
+def test_every_constructor_gives_one_value():
+    # the ideal of ab over abc from rows, both parse paths, minimize, the
+    # pattern, a product and a double complement
+    rows = [(1, 0, 0), (1, 2, 1), (2, 2, 2)]
+    d = Dfa("abc", rows, 0, {2})
+    text = serialize_dfa(d)
+    assert automata._parse_writer_form(text) is not None
+    head, trans = text.splitlines()[:4], text.splitlines()[4:]
+    looped = parse_dfa("\n".join(["# trans lines reversed", *head, *reversed(trans)]) + "\n")
+    # state 3 duplicates state 1 and state 4 is unreachable
+    redundant = Dfa("abc", [(3, 0, 0), (1, 2, 1), (2, 2, 2), (1, 2, 3), (4, 0, 1)], 0, {2})
+    built = [
+        d,
+        parse_dfa(text),
+        looped,
+        minimize(redundant),
+        pattern_dfa(SubsequencePattern("ab", "abc")),
+        product(d, d, "intersection"),
+        complement(complement(d)),
+    ]
+    for other in built:
+        assert other == d and hash(other) == hash(d) and repr(other) == repr(d)
+        assert other.transitions == tuple(rows) and other._columns == tuple(zip(*rows))
+    assert repr(d) == (
+        "Dfa(alphabet=('a', 'b', 'c'), transitions=((1, 0, 0), (1, 2, 1), (2, 2, 2)), "
+        "initial=0, accepting=frozenset({2}))"
+    )
+    # with no letters there are no columns: the state count tells them apart
+    one, two = Dfa((), [()], 0, ()), Dfa((), [(), ()], 0, ())
+    assert one != two and one.transitions == ((),) and two.transitions == ((), ())
+    assert minimize(two) == one == product(two, two, "union")
+
+
+@pytest.mark.parametrize(
+    "transitions, message",
+    [
+        ([(0, True), (1, 1)], "state 0 has an out-of-range successor True"),
+        ([(0, 1), (1.0, 1)], "state 1 has an out-of-range successor 1.0"),
+        ([(0, 1), (1,)], "state 1 has 1 transitions, expected 2"),
+        ([(0, 1), (1, 1, 0)], "state 1 has 3 transitions, expected 2"),
+        ([(0, 2), (1, 1)], "state 0 has an out-of-range successor 2"),
+        ([(0, 1), (-1, 1)], "state 1 has an out-of-range successor -1"),
+        # the first bad entry in row order is named, whatever comes after it
+        ([(0, 5), (1,)], "state 0 has an out-of-range successor 5"),
+        ([(0,), (1, 1.5)], "state 0 has 1 transitions, expected 2"),
+        ([], "a DFA needs at least one state"),
+    ],
+)
+def test_bad_rows_keep_their_messages(transitions, message):
+    with pytest.raises(ValueError) as error:
+        Dfa("ab", transitions, 0, {0})
+    assert str(error.value) == message
+
+
 def test_serialize_handles_empty_accepting_set():
     d = Dfa("ab", [(0, 0)], 0, set())
     text = serialize_dfa(d)
@@ -468,6 +522,23 @@ def test_pattern_dfa_agrees_with_subsequence_scan():
             assert p.matches(word) == oracles.is_subsequence(p.letters, word)
 
 
+def test_matches_builds_the_pattern_dfa_once(monkeypatch):
+    p, fresh = SubsequencePattern("ab", "abc"), SubsequencePattern("ab", "abc")
+    built = []
+    init, of_columns = Dfa.__init__, Dfa._of_columns
+    monkeypatch.setattr(Dfa, "__init__", lambda dfa, *fields: built.append(fields) or init(dfa, *fields))
+    monkeypatch.setattr(Dfa, "_of_columns", lambda *fields: built.append(fields) or of_columns(*fields))
+    assert p.matches("cab") and len(built) == 1
+    assert not p.matches("ba") and p.matches("aab") and len(built) == 1
+    # the exact verifier steps the same cached DFA
+    report = moqfa.verify_construction(p, 3)
+    assert not report.misclassified and len(built) == 1
+    assert "transitions" not in vars(p._dfa)
+    assert "_dfa" in vars(p) and "_dfa" not in vars(fresh)
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    assert repr(p) == "SubsequencePattern(letters=('a', 'b'), alphabet=('a', 'b', 'c'))"
+
+
 def test_matches_reads_any_iterable_and_checks_every_symbol():
     p = SubsequencePattern("ab", "abc")
     assert p.matches(iter("cacb")) and p.matches(sym for sym in "ab")
@@ -682,12 +753,17 @@ def test_change_order_is_the_reference_order():
 
 
 def test_cached_facts_stay_out_of_equality_hash_and_repr():
+    # a Dfa is stored as its letter columns; transitions, the row view, is
+    # cached like the facts derived from it
     read, unread = contains_a(), contains_a()
     assert sup_variation(read) == 1 and read.symbol_index("b") == 1
-    cached = {"_columns", "_change_order", "_symbol_index"}
+    assert read.transitions == ((1, 0), (1, 1))
+    cached = {"transitions", "_change_order", "_symbol_index"}
     assert cached <= vars(read).keys()
     assert not cached & vars(unread).keys()
-    assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
+    assert read == unread and hash(read) == hash(unread)
+    assert not cached & vars(unread).keys()  # == and hash read no row view
+    assert repr(read) == repr(unread)
     assert len({read, unread}) == 1
     with pytest.raises(ValueError, match="not in the alphabet"):
         read.symbol_index("c")

@@ -330,8 +330,17 @@ HEADER = "states 1\nalphabet a\ninitial 0\naccepting\n"
 @pytest.mark.parametrize(
     "text, error",
     [
-        # no trans line, so only Dfa's own check refuses it in the bulk pass
+        # no trans line, so only the bulk pass's own check refuses it
         ("states 0\nalphabet a\ninitial 0\naccepting\n", "line 1: state count must be positive"),
+        # the form is the writer's, but a state is out of range: the bulk
+        # pass checks the ranges itself, since it builds the Dfa unchecked
+        (HEADER + "trans 0 a 1\n", "line 5: state 1 out of range"),
+        ("states 2\nalphabet a\ninitial 0\naccepting\ntrans 0 a 1\ntrans 1 a 2\n", "line 6: state 2 out of range"),
+        ("states 1\nalphabet a\ninitial 1\naccepting\ntrans 0 a 0\n", "line 3: initial state 1 out of range"),
+        (
+            "states 1\nalphabet a\ninitial 0\naccepting 0 1\ntrans 0 a 0\n",
+            "line 4: accepting state 1 out of range",
+        ),
         # n x |alphabet| lines, but not all in the writer's form
         (HEADER + "trans 0 a 0 0\n", "line 5: expected 'trans <from> <sym> <to>'"),
         (HEADER + "xxxxx 0 a 0\n", "line 5: expected 'trans <from> <sym> <to>'"),
