@@ -324,14 +324,15 @@ def _refine_partition(cols: list[list[int]], accepting: list[bool]) -> list[int]
     """The coarsest stable partition of the positions 0..m-1, where cols[c][p]
     is p's successor on letter c, as each position's class numbered by first
     appearance.  A Moore round, one C-level pass, pairs each class with its
-    successors' classes.  The rounds stop when one splits nothing, or when
-    one neither doubles the class count nor halves the positions not yet
-    alone in a class, each possible about log2 m times; Hopcroft finishes."""
+    successors' classes.  The rounds stop when one splits nothing or leaves
+    every class a singleton, which no round can split, or when one neither
+    doubles the class count nor halves the positions not yet alone in a
+    class, each possible about log2 m times; Hopcroft finishes."""
     m = len(accepting)
     cls, old = _first_appearance(accepting)
     while True:
         cls, new = _first_appearance(list(zip(cls, *(map(cls.__getitem__, col) for col in cols))))
-        if new == old:
+        if new == old or new == m:
             return cls
         if new - old < min(old, m - new):
             # numbered once Hopcroft's tables are freed

@@ -15,6 +15,7 @@ step table evaluates words in floats for `moqfa prob --letters`
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator
@@ -70,13 +71,14 @@ def check_pattern_acceptor(
 def pattern_probabilities(pattern: SubsequencePattern, words) -> Iterator[float]:
     """Acceptance probability of each word on the pattern acceptor in turn,
     clamped to [0, 1]: the diagonal state walked in floats, one step of
-    `_PairWalk` per letter.  An unknown symbol raises ValueError when reached."""
+    `_PairWalk` per run of one letter, since Phi_a o Phi_a = Phi_a.  An
+    unknown symbol raises ValueError when its run is reached."""
     walk = _PairWalk(pattern, pattern_acceptor(pattern))
     steps = dict(zip(walk.alphabet, walk.steps))
     *start, den = walk.initial
     for word in words:
         state = [x / den for x in start]
-        for sym in word:
+        for sym, _ in itertools.groupby(word):  # Phi_a o Phi_a = Phi_a
             try:
                 columns, scale = steps[sym]
             except (KeyError, TypeError):  # TypeError: an unhashable symbol

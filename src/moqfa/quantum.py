@@ -1,10 +1,11 @@
 """Density-matrix simulation of measurement-only word acceptors.
 
 A word acceptor here carries one observable per alphabet symbol plus an
-end-word observable.  Reading a word applies, letter by letter, the
-nonselective measurement channel rho -> sum_i P_i rho P_i of that letter's
-observable; the acceptance probability is then the probability mass the final
-state assigns to the accepting outcomes of the end-word observable.
+end-word observable.  Reading a word applies, run by run, the nonselective
+measurement channel rho -> sum_i P_i rho P_i of the run's letter: Phi_a is
+idempotent (the paper's literal idempotency), so a run is one application.
+The acceptance probability is then the probability mass the final state
+assigns to the accepting outcomes of the end-word observable.
 
 `pattern_automaton` renders into matrices the acceptor of a subsequence
 pattern that `moqfa.patterns.pattern_acceptor` writes as exact sparse data:
@@ -290,7 +291,10 @@ def acceptance_probability(auto: MeasureOnlyAutomaton, word: Word) -> float:
 def acceptance_probabilities(auto: MeasureOnlyAutomaton, words: Iterable[Word]) -> Iterator[float]:
     """Acceptance probability of each word in turn, clamped to [0, 1], on raw
     arrays.  Each word starts from the initial state, and only its current
-    d x d state is kept.  An unknown symbol raises ValueError when reached.
+    d x d state is kept.  A run of one letter is one channel application, as
+    Phi_a o Phi_a = Phi_a: on observables valid only within `EPS` this is the
+    ideal model's value, and rounding grows once per run, not per letter.  An
+    unknown symbol raises ValueError when its run is reached.
     """
     import numpy as np
     channels = {sym: _stack(obs) for sym, obs in auto.observables.items()}
@@ -298,7 +302,7 @@ def acceptance_probabilities(auto: MeasureOnlyAutomaton, words: Iterable[Word]) 
     start = np.outer(auto.initial.conj(), auto.initial)
     for word in words:
         rho = start
-        for sym in word:
+        for sym, _ in itertools.groupby(word):  # Phi_a o Phi_a = Phi_a
             try:
                 stack = channels[sym]
             except (KeyError, TypeError):  # TypeError: an unhashable symbol

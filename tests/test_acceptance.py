@@ -174,6 +174,17 @@ def test_criterion_6_quantum_invariants():
             rho = measure(rho, auto.observables[str(sym)])
             if abs(rho.matrix.trace() - 1.0) > 1e-9:
                 failures.append("trace drift")
+    # the evaluator reads a run of one letter as one channel application, so
+    # the doubling is checked on the matrices with a channel of this test's own
+    def channel(obs, rho):
+        return sum(p @ rho @ p for _, p in obs.outcomes)
+
+    def probability(auto, word):
+        rho = np.outer(auto.initial.conj(), auto.initial)
+        for sym in word:
+            rho = channel(auto.observables[sym], rho)
+        return float(np.trace(auto.accepting_projector() @ rho).real)
+
     worst = 0.0
     for i in range(1000):
         alphabet = "ab" if i % 2 else "abc"
@@ -181,9 +192,10 @@ def test_criterion_6_quantum_invariants():
         x = tuple(rng.choice(list(alphabet), size=int(rng.integers(0, 5))))
         y = tuple(rng.choice(list(alphabet), size=int(rng.integers(0, 5))))
         letter = str(rng.choice(list(alphabet)))
-        single = acceptance_probability(auto, x + (letter,) + y)
-        doubled = acceptance_probability(auto, x + (letter, letter) + y)
-        worst = max(worst, abs(single - doubled))
+        single, doubled = x + (letter,) + y, x + (letter, letter) + y
+        worst = max(worst, abs(probability(auto, single) - probability(auto, doubled)))
+        if acceptance_probability(auto, single) != acceptance_probability(auto, doubled):
+            failures.append("the evaluator told uav from uaav")
     if worst > 1e-9:
         failures.append(f"letter doubling changed p by {worst:.2e}")
     ok = not failures

@@ -414,14 +414,17 @@ def refinement_inputs():
 
 
 def test_minimize_is_the_table_filling_quotient_on_every_exit_of_the_refinement():
+    exits = set()
     for kind, d in refinement_inputs():
         minimal, rounds, hopcroft = refinement(d)
         assert_table_filling_quotient(d, minimal)
         assert _bfs_discovery(minimal) == list(range(minimal.state_count))
         m = len(_bfs_discovery(d, d.initial))
         assert len(rounds) - 1 <= 2 * math.log2(m) + 2
-        if not hopcroft:  # the last round split nothing
-            assert rounds[-1] == rounds[-2]
+        if not hopcroft:  # the last round split nothing or left every state alone
+            assert rounds[-1] in (rounds[-2], m)
+            assert m not in rounds[1:-1]  # and no round follows one that did
+            exits.add("alone" if rounds[-1] == m else "stable")
         if kind == "random":
             assert not hopcroft
         elif kind == "chain":
@@ -430,6 +433,7 @@ def test_minimize_is_the_table_filling_quotient_on_every_exit_of_the_refinement(
             # the rounds go on past round 2, which did not double the classes
             old, new = rounds[1:3]
             assert not hopcroft and m - new <= new - old < old
+    assert exits == {"alone", "stable"}
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -283,9 +284,10 @@ def test_pattern_acceptor_probabilities_are_dyadic():
 
 
 def measure_loop_probability(auto, word):
-    """The acceptance probability spelled out with the public `measure`."""
+    """The acceptance probability spelled out with the public `measure`, once
+    per run of one letter, as the evaluator reads a word."""
     rho = DensityMatrix.pure(auto.initial)
-    for sym in word:
+    for sym, _ in itertools.groupby(word):
         rho = measure(rho, auto.observables[sym])
     return min(1.0, max(0.0, float(np.trace(auto.accepting_projector() @ rho.matrix).real)))
 
@@ -314,10 +316,13 @@ def referee_channel(projectors, rho):
     return sum(p @ rho @ p for p in projectors)
 
 
-def referee_probability(auto, word):
+def referee_probability(auto, word, runs=True):
+    """The acceptance probability on `referee_channel`: once per run of one
+    letter, as the evaluator reads a word, or with `runs=False` once per
+    letter, which relies on no idempotency."""
     projectors = {sym: [p for _, p in obs.outcomes] for sym, obs in auto.observables.items()}
     rho = np.outer(auto.initial.conj(), auto.initial)
-    for sym in word:
+    for sym in (k for k, _ in itertools.groupby(word)) if runs else word:
         rho = referee_channel(projectors[sym], rho)
     return min(1.0, max(0.0, float(np.trace(auto.accepting_projector() @ rho).real)))
 
@@ -347,6 +352,37 @@ def test_the_channel_equals_a_python_sum_bit_for_bit():
             expected = referee_channel(projectors, rho.matrix)
             rho = measure(rho, auto.observables[sym])
             assert (rho.matrix == expected).all()
+
+
+def words_with_runs(rng, alphabet, count, max_runs, max_run):
+    """Random words of up to `max_runs` runs of 1 to `max_run` equal letters."""
+    words = []
+    for _ in range(count):
+        word = []
+        for _ in range(rng.randrange(1, max_runs + 1)):
+            word += [rng.choice(alphabet)] * rng.randint(1, max_run)
+        words.append(tuple(word))
+    return words
+
+
+def test_reading_runs_agrees_with_reading_letters():
+    # the evaluator applies a run's channel once; the letter-by-letter loop
+    # applies it once per letter, so they agree only through Phi_a o Phi_a = Phi_a
+    rng = random.Random(20261022)
+    for seed in range(60):
+        alphabet = "ab" if seed % 2 else "abc"
+        auto = support.random_automaton(seed, seed % 8 + 1, alphabet)
+        words = words_with_runs(rng, alphabet, 8, 6, 30)
+        letters = [referee_probability(auto, w, runs=False) for w in words]
+        for word, x, y in zip(words, acceptance_probabilities(auto, words), letters, strict=True):
+            assert abs(x - y) <= 1e-12, (seed, word)
+    # on the pattern acceptors the two readings round alike
+    words = list(support.words_up_to("abc", 5))
+    for p in support.patterns_up_to(4, "abc"):
+        auto = pattern_automaton(p)
+        cases = words + words_with_runs(rng, "abc", 10, 40, 10)
+        letters = [referee_probability(auto, w, runs=False) for w in cases]
+        assert list(acceptance_probabilities(auto, cases)) == letters, p.letters
 
 
 @pytest.mark.parametrize("symbol", [["a"], {"a": 1}], ids=["list", "dict"])
