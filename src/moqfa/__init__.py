@@ -36,10 +36,10 @@ _EXPORTS = {
         ),
         (
             "decision",
-            "NOT_LI NOT_PT Diagnosis VerificationReport confluence_violation diagnose "
-            "is_piecewise_testable monoid_oracle random_dfa random_partially_ordered_dfa "
-            "verify_construction",
+            "NOT_LI NOT_PT Diagnosis confluence_violation diagnose is_piecewise_testable "
+            "monoid_oracle random_dfa random_partially_ordered_dfa",
         ),
+        ("exact", "VerificationReport verify_construction"),
     )
     for name in names.split()
 }

@@ -101,11 +101,16 @@ def transition_monoid(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> 
     """Close the letter transformations under composition.
 
     For a minimal DFA this is the syntactic monoid of the language.  Raises
-    ResourceLimitError when more than `max_elements` elements appear, or more
-    than _ENTRY_BUDGET // state_count, whichever is fewer.
+    ResourceLimitError when more than `max_elements` elements appear, the
+    identity included, or more than _ENTRY_BUDGET // state_count, whichever
+    is fewer, and ValueError when `max_elements` is negative.
     """
+    if max_elements < 0:
+        raise ValueError("element cap must be nonnegative")
     n = min_dfa.state_count
     limit = min(max_elements, _ENTRY_BUDGET // n)
+    if limit < 1:  # not even the identity fits
+        raise ResourceLimitError(f"transition monoid exceeds {limit} elements")
     generators = dict(zip(min_dfa.alphabet, min_dfa._columns))
     if n <= 256:  # a state fits in a byte: x times g is x.translate(g padded to 256 bytes)
         pad = bytes(256 - n)

@@ -89,7 +89,7 @@ def _cmd_prob(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .decision import verify_construction
+    from .exact import verify_construction
 
     pattern = _pattern_from_args(args)
     report = verify_construction(pattern, args.maxlen, max_words=args.budget)

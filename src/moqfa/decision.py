@@ -1,6 +1,6 @@
 """Membership pipeline for the class of languages recognized by
-measurement-only acceptors with an isolated cut point, plus verification
-harnesses and reproducible random-DFA generation.
+measurement-only acceptors with an isolated cut point, plus reproducible
+random-DFA generation.
 
 The pipeline minimizes, then checks literal idempotency and piecewise
 testability on the DFA; a language belongs to the class iff both hold.  The
@@ -16,11 +16,7 @@ import random
 from typing import NamedTuple
 
 from .automata import Dfa, is_literally_idempotent, is_partially_ordered, minimize
-from .errors import DEFAULT_ELEMENT_CAP, DEFAULT_WORD_BUDGET, ResourceLimitError
-from .patterns import SubsequencePattern, cutpoint_params, pattern_acceptor
-# `measure` is unused here; it stays a module attribute because the verify
-# workload of perfbench/workloads.py traces `decision.measure` by that name.
-from .quantum import measure
+from .errors import DEFAULT_ELEMENT_CAP, DEFAULT_WORD_BUDGET
 
 NOT_LI = "NOT_LI"
 NOT_PT = "NOT_PT"
@@ -110,89 +106,23 @@ def diagnose(dfa: Dfa) -> Diagnosis:
 def monoid_oracle(dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> bool:
     """Algebraic membership test: J-trivial syntactic monoid whose letter
     images are idempotent.  Agrees with diagnose(dfa).verdict on every input."""
-    # imported on use, like exact below: `moqfa check` never builds a monoid
+    # imported on use: `moqfa check` never builds a monoid
     from .algebra import is_j_trivial, letters_idempotent, transition_monoid
 
     monoid = transition_monoid(minimize(dfa), max_elements)
     return is_j_trivial(monoid) and letters_idempotent(monoid)
 
 
-# ---------------------------------------------------------------------------
-# exhaustive verification of the pattern acceptors
+# Forwarders for the two names perfbench traces on this module; they go with
+# ROADMAP item 13.
+def verify_construction(pattern, max_len: int, max_words: int = DEFAULT_WORD_BUDGET):
+    from .exact import verify_construction
+    return verify_construction(pattern, max_len, max_words)
 
 
-class VerificationReport(NamedTuple):
-    """Outcome of checking a pattern acceptor against the subsequence oracle
-    on every word up to a length bound."""
-
-    pattern: SubsequencePattern
-    cutpoint: float
-    isolation: float
-    max_len: int
-    words_checked: int
-    misclassified: tuple[tuple[str, ...], ...]
-    isolation_violations: tuple[tuple[str, ...], ...]
-    min_margin: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.misclassified and not self.isolation_violations
-
-
-def verify_construction(
-    pattern: SubsequencePattern,
-    max_len: int,
-    max_words: int = DEFAULT_WORD_BUDGET,
-) -> VerificationReport:
-    """Check the pattern acceptor on every word up to `max_len`, exactly.
-
-    A word is misclassified when (probability > cutpoint) disagrees with
-    subsequence membership, and violates isolation when |probability -
-    cutpoint| < isolation; both sides are compared as exact rationals.
-
-    The acceptor is the exact sparse form that `pattern_acceptor` writes and
-    checks, the form `moqfa synth --emit` writes and `moqfa prob --letters`
-    walks in floats.  No matrix is built here, and numpy is not imported.
-    The acceptor's letters map diagonal states to diagonal states (checked
-    exactly; otherwise ValueError), and two words that reach the same
-    (pattern progress, diagonal state) pair have the same future.  So the
-    words are walked one length at a time as the set of distinct pairs they
-    reach, and only the pairs that fail are spelled out as words, in
-    length-lexicographic order.  Raises ResourceLimitError when
-    `words_checked` would exceed `max_words`, and ValueError when `max_len`
-    or `max_words` is negative.
-    """
-    if max_len < 0:
-        raise ValueError("maximum word length must be nonnegative")
-    if max_words < 0:
-        raise ValueError("word budget must be nonnegative")
-    size = len(pattern.alphabet)
-    total = 0
-    # over the empty alphabet only the empty word exists
-    for length in range(max_len + 1 if size else 1):
-        total += size**length
-        if total > max_words:
-            raise ResourceLimitError(
-                f"enumerating the words up to length {max_len} exceeds the budget of {max_words}"
-            )
-    # imported on use: the exact walk and fractions (with decimal) are
-    # needed only when a verification runs, not by `import moqfa`
-    from .exact import check_pattern_acceptor
-
-    cutpoint, isolation = cutpoint_params(pattern)
-    misclassified, violations, min_margin = check_pattern_acceptor(
-        pattern, pattern_acceptor(pattern), cutpoint, isolation, max_len
-    )
-    return VerificationReport(
-        pattern=pattern,
-        cutpoint=cutpoint,
-        isolation=isolation,
-        max_len=max_len,
-        words_checked=total,
-        misclassified=misclassified,
-        isolation_violations=violations,
-        min_margin=min_margin,
-    )
+def measure(rho, obs):
+    from .quantum import measure
+    return measure(rho, obs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,14 @@
-"""The pattern acceptor walked on its diagonal states, exactly and in floats.
+"""Exhaustive verification of the pattern acceptor, and its float walk.
 
 The pattern acceptor started on a basis state keeps its density matrix
 diagonal, with dyadic entries, and two words that reach the same pair
-(pattern progress, diagonal state) have the same future.  So every word up to
-a length is checked by walking the distinct pairs of each length in exact
-rational arithmetic: the progress by the columns of `moqfa.patterns.pattern_dfa`,
-the DFA that `SubsequencePattern.matches` caches and runs, and the state by
-the nonzero projector entries of the acceptor's sparse form
-(`moqfa.patterns.SparseAcceptor`);
-`moqfa.decision.verify_construction` is the public entry point.  The same
-step table evaluates words in floats for `moqfa prob --letters`
-(`pattern_probabilities`).  Neither walk builds a matrix or imports numpy.
+(pattern progress, diagonal state) have the same future.  So
+`verify_construction` checks every word up to a length by walking the
+distinct pairs of each length in exact rational arithmetic: the progress by
+the letter columns of the pattern's DFA, the state by the nonzero projector
+entries of `moqfa.patterns.pattern_acceptor`.  The same step table evaluates
+words in floats for `moqfa prob --letters` (`pattern_probabilities`).
+Neither walk builds a matrix or imports numpy.
 """
 
 from __future__ import annotations
@@ -18,30 +16,64 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
+from .errors import DEFAULT_WORD_BUDGET, ResourceLimitError
 from .patterns import SparseAcceptor, SubsequencePattern, _common_denominator
-from .patterns import pattern_acceptor
+from .patterns import cutpoint_params, pattern_acceptor
 
 
-def check_pattern_acceptor(
+class VerificationReport(NamedTuple):
+    """Outcome of checking a pattern acceptor against the subsequence oracle
+    on every word up to a length bound."""
+
+    pattern: SubsequencePattern
+    cutpoint: float
+    isolation: float
+    max_len: int
+    words_checked: int
+    misclassified: tuple[tuple[str, ...], ...]
+    isolation_violations: tuple[tuple[str, ...], ...]
+    min_margin: float
+
+    @property
+    def ok(self) -> bool:
+        return not self.misclassified and not self.isolation_violations
+
+
+def verify_construction(
     pattern: SubsequencePattern,
-    acceptor: SparseAcceptor,
-    cutpoint: float,
-    isolation: float,
     max_len: int,
-) -> tuple[tuple, tuple, float]:
-    """(misclassified words, isolation violations, minimum margin) of
-    `acceptor` on every word over the pattern's alphabet up to `max_len`.
+    max_words: int = DEFAULT_WORD_BUDGET,
+) -> VerificationReport:
+    """Check the pattern acceptor on every word up to `max_len`, exactly.
 
     A word is misclassified when (probability > cutpoint) disagrees with
     subsequence membership, and violates isolation when |probability -
-    cutpoint| < isolation, both decided exactly; the words of each list come
-    in length-lexicographic order.  Raises ValueError unless the initial state
-    and every letter's image of every diagonal basis state are exactly
-    diagonal.
+    cutpoint| < isolation; both are decided on exact rationals, and the
+    words of each list come in length-lexicographic order.  The words are
+    walked one length at a time as the set of distinct pairs they reach, and
+    only the pairs that fail are spelled out as words.  Raises
+    ResourceLimitError when `words_checked` would exceed `max_words`, and
+    ValueError when `max_len` or `max_words` is negative, or when the
+    acceptor's initial state or a letter's image of a diagonal basis state is
+    not exactly diagonal.
     """
-    walk = _PairWalk(pattern, acceptor, pattern._dfa._columns)
+    if max_len < 0:
+        raise ValueError("maximum word length must be nonnegative")
+    if max_words < 0:
+        raise ValueError("word budget must be nonnegative")
+    size = len(pattern.alphabet)
+    total = 0
+    # over the empty alphabet only the empty word exists
+    for length in range(max_len + 1 if size else 1):
+        total += size**length
+        if total > max_words:
+            raise ResourceLimitError(
+                f"enumerating the words up to length {max_len} exceeds the budget of {max_words}"
+            )
+    cutpoint, isolation = cutpoint_params(pattern)
+    walk = _PairWalk(pattern, pattern_acceptor(pattern), pattern._dfa._columns)
     lam, radius = Fraction(cutpoint), Fraction(isolation)
     verdicts = {}  # state -> (accepted, isolated, margin)
     misclassified, violations = [], []
@@ -65,7 +97,10 @@ def check_pattern_acceptor(
             if not level:  # no word of the next length exists
                 break
     min_margin = float(min(margin for _, _, margin in verdicts.values()))
-    return tuple(misclassified), tuple(violations), min_margin
+    return VerificationReport(
+        pattern, cutpoint, isolation, max_len, total,
+        tuple(misclassified), tuple(violations), min_margin,
+    )
 
 
 def pattern_probabilities(pattern: SubsequencePattern, words) -> Iterator[float]:

@@ -36,8 +36,12 @@ class SubsequencePattern(_Frozen):
             object.__setattr__(self, "alphabet", _check_alphabet(alphabet))
         except ValueError as exc:
             raise PatternError(str(exc)) from None
-        missing = sorted(set(self.letters) - set(self.alphabet))
+        missing = [x for x in self.letters if x not in self.alphabet]
         if missing:
+            try:
+                missing = sorted(set(missing))
+            except TypeError:  # unhashable or unorderable letters are listed as given
+                pass
             raise PatternError(f"pattern letters {missing} are not in the alphabet")
         for i in range(len(self.letters) - 1):
             if self.letters[i] == self.letters[i + 1]:

@@ -61,12 +61,13 @@ class Observable(_Frozen):
     __hash__ = object.__hash__
 
     def __init__(self, dimension: int, outcomes: Iterable[tuple[str, object]]):
-        if dimension < 1:
-            raise ValueError("observable dimension must be positive")
+        # an int proper, as a DFA's states are: int() would truncate 2.5 and read True as 1
+        if type(dimension) is not int or dimension < 1:
+            raise ValueError(f"observable dimension must be a positive int, got {dimension!r}")
         normalised = tuple((label, _frozen_matrix(entries)) for label, entries in outcomes)
         if not normalised:
             raise ValueError("an observable needs at least one outcome")
-        object.__setattr__(self, "dimension", int(dimension))
+        object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "outcomes", normalised)
         problems = validate_observable(self)
         if problems:

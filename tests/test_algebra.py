@@ -22,6 +22,7 @@ from moqfa import (
     is_r_trivial,
     letters_idempotent,
     minimize,
+    monoid_oracle,
     random_dfa,
     serialize_dfa,
     sup_variation,
@@ -162,6 +163,19 @@ def test_element_cap_raises_resource_error():
     d = random_dfa(3, 5, "abc")
     with pytest.raises(ResourceLimitError):
         transition_monoid(d, max_elements=3)
+
+
+def test_element_cap_counts_the_identity():
+    one_state = Dfa("a", [(0,)], 0, {0})
+    assert len(transition_monoid(one_state, max_elements=1)) == 1
+    with pytest.raises(ResourceLimitError, match="exceeds 0 elements"):
+        transition_monoid(one_state, max_elements=0)
+    with pytest.raises(ValueError, match="element cap must be nonnegative"):
+        transition_monoid(one_state, max_elements=-1)
+    with pytest.raises(ResourceLimitError):
+        monoid_oracle(one_state, max_elements=0)
+    with pytest.raises(ValueError, match="element cap must be nonnegative"):
+        monoid_oracle(one_state, max_elements=-1)
 
 
 def test_entry_budget_bounds_the_elements_of_many_state_monoids(monkeypatch, tmp_path, capsys):

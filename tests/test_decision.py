@@ -39,7 +39,7 @@ from moqfa import (
     random_dfa,
     random_partially_ordered_dfa,
     transition_monoid,
-    decision,
+    exact,
     verify_construction,
 )
 
@@ -417,7 +417,7 @@ def _walk_instead(monkeypatch, broken):
         read.append(broken(pattern_automaton(p)))
         return read[-1].sparse()
 
-    monkeypatch.setattr(decision, "pattern_acceptor", acceptor)
+    monkeypatch.setattr(exact, "pattern_acceptor", acceptor)
     return read
 
 
@@ -453,7 +453,7 @@ def test_verify_lists_every_failing_word_of_a_broken_acceptor(
 def test_verify_cut_point_on_a_reached_probability(monkeypatch, letters, cutpoint):
     # a word whose probability equals the claimed cut point is rejected and
     # not isolated: the rule is p > lambda and |p - lambda| >= delta, exactly
-    monkeypatch.setattr(decision, "cutpoint_params", lambda p: (cutpoint, cutpoint / 4))
+    monkeypatch.setattr(exact, "cutpoint_params", lambda p: (cutpoint, cutpoint / 4))
     report = verify_construction(SubsequencePattern(letters, "ab"), 6)
     lam = Fraction(cutpoint)
     wrong, close = [], []
@@ -477,13 +477,13 @@ def test_verify_isolation_is_exact_at_k14(monkeypatch):
     report = verify_construction(pattern, 14)
     assert report.ok and report.min_margin == 2.0**-29
     claimed = lam + Fraction(1, 2**60)
-    monkeypatch.setattr(decision, "cutpoint_params", lambda p: (float(lam), float(claimed)))
+    monkeypatch.setattr(exact, "cutpoint_params", lambda p: (float(lam), float(claimed)))
     report = verify_construction(pattern, 10)
     assert report.misclassified == ()
     assert report.isolation_violations == tuple(support.words_up_to("ab", 10))
     for word in report.isolation_violations:
         assert abs(oracles.exact_pattern_probability(pattern.letters, word) - lam) < claimed
-    monkeypatch.setattr(decision, "cutpoint_params", lambda p: (float(lam), float(lam)))
+    monkeypatch.setattr(exact, "cutpoint_params", lambda p: (float(lam), float(lam)))
     assert verify_construction(pattern, 14).ok
 
 

@@ -21,6 +21,7 @@ from moqfa import (
     GreenReport,
     MeasureOnlyAutomaton,
     Observable,
+    ResourceLimitError,
     SubsequencePattern,
     VerificationReport,
     WordCheck,
@@ -89,9 +90,27 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command):
         },
         "synth_emit": {"moqfa.automata", "moqfa.algebra", "moqfa.decision", "moqfa.exact", "numpy"},
         "prob": {"moqfa.automata", "moqfa.quantum", "moqfa.algebra", "moqfa.decision", "numpy"},
-        "check": {"moqfa.algebra", "moqfa.exact", "numpy"},
+        "check": {
+            "moqfa.algebra", "moqfa.exact", "moqfa.patterns", "moqfa.quantum", "fractions",
+            "numpy",
+        },
+        "verify": {"moqfa.algebra", "moqfa.decision", "moqfa.quantum", "numpy"},
     }.get(command, set())
     assert not absent & added
+
+
+def test_decision_forwards_the_traced_names():
+    # the benchmark traces `verify_construction` and `measure` on `decision`
+    from moqfa import decision, exact
+
+    assert moqfa.verify_construction is exact.verify_construction
+    pattern = SubsequencePattern("aba", "abc")
+    report = decision.verify_construction(pattern, 4, max_words=121)
+    assert report == verify_construction(pattern, 4, 121) and report.ok
+    with pytest.raises(ResourceLimitError, match="budget of 120"):
+        decision.verify_construction(pattern, 4, 120)
+    state = DensityMatrix.pure([1, 0])
+    assert (decision.measure(state, identity_observable(2)).matrix == state.matrix).all()
 
 
 def test_star_import_binds_all_from_the_defining_modules():

@@ -158,6 +158,12 @@ def test_validate_observable_counts_an_overflowed_residual_as_a_violation():
     ]
 
 
+@pytest.mark.parametrize("dimension", [2.5, 2.0, True, "2", 0, -1, None])
+def test_observable_refuses_a_dimension_that_is_not_a_positive_int(dimension):
+    with pytest.raises(ValueError, match="observable dimension must be a positive int"):
+        Observable(dimension, [("p", np.eye(2))])
+
+
 @pytest.mark.parametrize("label", ["", "a b", "\t", 0])
 def test_observable_refuses_labels_the_text_format_cannot_carry(label):
     message = f"structural: outcome label {label!r} is not a non-empty string without whitespace"
@@ -474,6 +480,21 @@ def test_pattern_automaton_structure():
     assert auto.accepting == frozenset({"accept"})
     for obs in (*auto.observables.values(), auto.end_observable):
         assert validate_observable(obs) == []
+
+
+@pytest.mark.parametrize(
+    "letters, message",
+    [
+        ([["a"]], "pattern letters [['a']] are not in the alphabet"),
+        (["a", {}], "pattern letters [{}] are not in the alphabet"),
+        ([1, "z"], "pattern letters [1, 'z'] are not in the alphabet"),
+        ("zaz", "pattern letters ['z'] are not in the alphabet"),
+        ("dac", "pattern letters ['c', 'd'] are not in the alphabet"),
+    ],
+)
+def test_pattern_letters_outside_the_alphabet_raise_pattern_error(letters, message):
+    with pytest.raises(PatternError, match=re.escape(message)):
+        SubsequencePattern(letters, "ab")
 
 
 def test_pattern_automaton_rejects_adjacent_equal_letters():
