@@ -10,19 +10,21 @@ views (elements, index, idempotents(), shortest_witness) are state tuples,
 built when first read.
 Green's relations are tested without building their classes: the monoid is
 R-trivial (L-trivial) iff its right (left) Cayley graph has no cycle but
-self-loops (Brzozowski and Fich, "Languages of R-trivial monoids", 1980), and
-a block group iff its idempotents have pairwise distinct kernels and images.
+self-loops (Brzozowski and Fich, "Languages of R-trivial monoids", 1980), which
+a depth-first search from the identity decides, stopping at the first cycle;
+it is a block group iff its idempotents have pairwise distinct kernels and
+images.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from operator import attrgetter, itemgetter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .automata import Dfa, _first_appearance, _is_idempotent, _kahn_order
-from .errors import DEFAULT_ELEMENT_CAP, ResourceLimitError
+from .automata import Dfa, _first_appearance, _is_idempotent
+from .errors import DEFAULT_ELEMENT_CAP, ResourceLimitError, _check_count
 
 Transformation = tuple[int, ...]
 
@@ -103,10 +105,9 @@ def transition_monoid(min_dfa: Dfa, max_elements: int = DEFAULT_ELEMENT_CAP) -> 
     For a minimal DFA this is the syntactic monoid of the language.  Raises
     ResourceLimitError when more than `max_elements` elements appear, the
     identity included, or more than _ENTRY_BUDGET // state_count, whichever
-    is fewer, and ValueError when `max_elements` is negative.
+    is fewer, and ValueError when `max_elements` is not a nonnegative int.
     """
-    if max_elements < 0:
-        raise ValueError("element cap must be nonnegative")
+    _check_count(max_elements, "element cap")
     n = min_dfa.state_count
     limit = min(max_elements, _ENTRY_BUDGET // n)
     if limit < 1:  # not even the identity fits
@@ -160,27 +161,69 @@ def _distinct_kernels_and_images(idempotents: list[bytes] | list[Transformation]
     return len(kernels) == len(images) == len(idempotents)
 
 
+def _acyclic(cols: list[list[int]], size: int, grow: Callable[[int], None] | None = None) -> bool:
+    """True iff the graph on nodes 0..size-1 in which node x's successors are
+    cols[c][x], one column per generator, has no cycle but self-loops among
+    the nodes reachable from node 0.  A depth-first search from 0 stops at
+    the first edge back into its path.  The columns may end early: when the
+    search reaches a node y past their end it calls grow(y + 1), which must
+    extend every column to y + 1 entries."""
+    mark = bytearray(size)  # 0 unseen, 1 on the path, 2 done
+    mark[0] = 1
+    end = len(cols[0]) if cols else size
+    path = []  # the nodes above x, each with the iterator over its unread columns
+    x, rest = 0, iter(cols)
+    while True:
+        for col in rest:
+            y = col[x]
+            if y != x:
+                seen = mark[y]
+                if seen != 2:
+                    if seen:  # y is on the path: a cycle
+                        return False
+                    break
+        else:  # every successor of x is done
+            mark[x] = 2
+            if not path:
+                return True
+            x, rest = path.pop()
+            continue
+        mark[y] = 1
+        if y >= end:
+            grow(y + 1)
+            end = y + 1
+        path.append((x, rest))
+        x, rest = y, iter(cols)
+
+
 def is_r_trivial(monoid: FiniteMonoid) -> bool:
     """True iff distinct elements generate distinct right ideals (xM): R-classes
     are the strong components of the right Cayley graph the closure recorded,
-    so all are singletons iff it has no cycle but self-loops."""
-    k, right, n = len(monoid.generator_map), monoid.right, len(monoid)
-    return _kahn_order(range(n), [right[c::k] for c in range(k)], n) is not None
+    so all are singletons iff it has no cycle but self-loops.  Every element
+    is reachable from the identity, as 1 times the letters of its word."""
+    k, right = len(monoid.generator_map), monoid.right
+    return _acyclic([right[c::k] for c in range(k)], len(monoid))
+
+
+def _extend_left(monoid: FiniteMonoid, left: list[list[int]], stop: int) -> None:
+    """Extend each column of the left Cayley graph, g times each element for
+    one generator g, to `stop` entries.  They grow in element order: g times
+    elements[x] is g times elements[prefix[x]], times the final[x]-th
+    generator (Froidure and Pin), and prefix[x] < x."""
+    k, right, start = len(monoid.generator_map), monoid.right, len(left[0])
+    links = list(zip(monoid.prefix[start:stop], monoid.final[start:stop]))
+    for left_c in left:
+        for p, f in links:
+            left_c.append(right[left_c[p] * k + f])
 
 
 def is_l_trivial(monoid: FiniteMonoid) -> bool:
     """True iff distinct elements generate distinct left ideals (Mx): the left
-    Cayley graph has no cycle but self-loops.  It is read from the right one
-    through the prefix links: g times elements[x] is g times
-    elements[prefix[x]], times the final[x]-th generator (Froidure and Pin)."""
-    k, right = len(monoid.generator_map), monoid.right
-    left = []  # one column per generator g: g times each element
-    for c in range(k):
-        left_c = [right[c]]  # g times the identity is g
-        for p, f in zip(islice(monoid.prefix, 1, None), islice(monoid.final, 1, None)):
-            left_c.append(right[left_c[p] * k + f])
-        left.append(left_c)
-    return _kahn_order(range(len(monoid)), left, len(monoid)) is not None
+    Cayley graph has no cycle but self-loops.  Every element is reachable
+    from the identity, as its letters times 1 from the last, and the left
+    columns are read only as far as the search goes."""
+    left = [[g] for g in monoid.right[: len(monoid.generator_map)]]  # g times the identity is g
+    return _acyclic(left, len(monoid), partial(_extend_left, monoid, left))
 
 
 def is_j_trivial(monoid: FiniteMonoid) -> bool:

@@ -294,8 +294,9 @@ def _kahn_order(nodes: Sequence[int], cols: Sequence[Sequence[int]], count: int)
     """`nodes` in topological order of the graph in which node q's successors
     are cols[c][q], one column per letter, by Kahn's algorithm; None when it
     has a cycle other than a self-loop.  Only edges from `nodes` count, and
-    self-loops are left out; every node is below `count`.  The DFA's change
-    order and the Green's tests of `moqfa.algebra` both run this pass."""
+    self-loops are left out; every node is below `count`.  It orders the
+    DFA's change graph, which `confluence_violation` and
+    `sup_variation_witness` read."""
     indegree = [0] * count
     for col in cols:
         for q in nodes:

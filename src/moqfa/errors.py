@@ -1,7 +1,7 @@
-"""Exception types, the default size budgets, the alphabet rule, the base of
-the immutable classes, and the line tokenizer shared by the text-format
-parsers.  It imports nothing, so the command-line parser can be built from it
-alone."""
+"""Exception types, the default size budgets, the alphabet and size-bound
+rules, the base of the immutable classes, and the line tokenizer shared by
+the text-format parsers.  It imports nothing, so the command-line parser can
+be built from it alone."""
 
 from __future__ import annotations
 
@@ -39,6 +39,15 @@ def _check_alphabet(symbols) -> tuple[str, ...]:
     if len(set(alphabet)) != len(alphabet):
         raise ValueError("alphabet contains repeated symbols")
     return alphabet
+
+
+def _check_count(value, name: str) -> None:
+    """ValueError unless `value` is a nonnegative int proper, the rule of
+    every size bound: int() would truncate 2.5 and read True as 1."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
 
 
 class _Frozen:

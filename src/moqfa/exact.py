@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .errors import DEFAULT_WORD_BUDGET, ResourceLimitError
+from .errors import DEFAULT_WORD_BUDGET, ResourceLimitError, _check_count
 from .patterns import SparseAcceptor, SubsequencePattern, _common_denominator
 from .patterns import cutpoint_params, pattern_acceptor
 
@@ -55,14 +55,12 @@ def verify_construction(
     walked one length at a time as the set of distinct pairs they reach, and
     only the pairs that fail are spelled out as words.  Raises
     ResourceLimitError when `words_checked` would exceed `max_words`, and
-    ValueError when `max_len` or `max_words` is negative, or when the
-    acceptor's initial state or a letter's image of a diagonal basis state is
-    not exactly diagonal.
+    ValueError when `max_len` or `max_words` is not a nonnegative int, or
+    when the acceptor's initial state or a letter's image of a diagonal
+    basis state is not exactly diagonal.
     """
-    if max_len < 0:
-        raise ValueError("maximum word length must be nonnegative")
-    if max_words < 0:
-        raise ValueError("word budget must be nonnegative")
+    _check_count(max_len, "maximum word length")
+    _check_count(max_words, "word budget")
     size = len(pattern.alphabet)
     total = 0
     # over the empty alphabet only the empty word exists

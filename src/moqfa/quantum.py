@@ -61,9 +61,7 @@ class Observable(_Frozen):
     __hash__ = object.__hash__
 
     def __init__(self, dimension: int, outcomes: Iterable[tuple[str, object]]):
-        # an int proper, as a DFA's states are: int() would truncate 2.5 and read True as 1
-        if type(dimension) is not int or dimension < 1:
-            raise ValueError(f"observable dimension must be a positive int, got {dimension!r}")
+        _check_dimension(dimension)
         normalised = tuple((label, _frozen_matrix(entries)) for label, entries in outcomes)
         if not normalised:
             raise ValueError("an observable needs at least one outcome")
@@ -77,7 +75,14 @@ class Observable(_Frozen):
         return tuple(label for label, _ in self.outcomes)
 
 
+def _check_dimension(dimension) -> None:
+    # an int proper, as a DFA's states are: int() would truncate 2.5 and read True as 1
+    if type(dimension) is not int or dimension < 1:
+        raise ValueError(f"observable dimension must be a positive int, got {dimension!r}")
+
+
 def identity_observable(dimension: int) -> Observable:
+    _check_dimension(dimension)  # before np.eye, which has its own errors
     import numpy as np
     return Observable(dimension, (("pass", np.eye(dimension)),))
 

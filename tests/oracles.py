@@ -222,16 +222,26 @@ def brute_green_classes(elements):
     return right, left, two_sided
 
 
+def _distinct(ideals):
+    """True iff no two of the ideals are equal; stops at the first repeat."""
+    seen = set()
+    for ideal in ideals:
+        if ideal in seen:
+            return False
+        seen.add(ideal)
+    return True
+
+
 def brute_r_trivial(elements):
-    right, _, _ = brute_green_classes(elements)
-    ideals = list(right.values())
-    return len(set(ideals)) == len(ideals)
+    """Distinct principal right ideals xM, built one at a time (quadratic)."""
+    elems = list(elements)
+    return _distinct(frozenset(_compose(x, b) for b in elems) for x in elems)
 
 
 def brute_l_trivial(elements):
-    _, left, _ = brute_green_classes(elements)
-    ideals = list(left.values())
-    return len(set(ideals)) == len(ideals)
+    """Distinct principal left ideals Mx, built one at a time (quadratic)."""
+    elems = list(elements)
+    return _distinct(frozenset(_compose(a, x) for a in elems) for x in elems)
 
 
 def brute_j_trivial(elements):

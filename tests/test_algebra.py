@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from operator import itemgetter
 
@@ -30,7 +31,7 @@ from moqfa import (
     transition_monoid,
 )
 from moqfa import algebra
-from moqfa.automata import _first_appearance, _is_idempotent
+from moqfa.automata import _first_appearance, _is_idempotent, _kahn_order
 from moqfa.cli import main
 
 import oracles
@@ -178,6 +179,16 @@ def test_element_cap_counts_the_identity():
         monoid_oracle(one_state, max_elements=-1)
 
 
+@pytest.mark.parametrize("cap", [2.5, True, "3"])
+def test_element_cap_must_be_an_int(cap):
+    # int() would truncate 2.5 and read True as 1
+    one_state = Dfa("a", [(0,)], 0, {0})
+    with pytest.raises(ValueError, match=f"element cap must be an int, got {re.escape(repr(cap))}"):
+        transition_monoid(one_state, max_elements=cap)
+    with pytest.raises(ValueError, match="element cap must be an int"):
+        monoid_oracle(one_state, max_elements=cap)
+
+
 def test_entry_budget_bounds_the_elements_of_many_state_monoids(monkeypatch, tmp_path, capsys):
     # the budget counts states, not bytes: each element holds `degree` states
     # in either encoding, so it caps the element count at budget // degree
@@ -262,15 +273,7 @@ def test_right_cayley_table_is_the_composition_with_each_generator():
                 assert m.right[i * k + c] == m.index[tuple(g[q] for q in x)]
 
 
-def test_prefix_links_spell_each_element_and_give_the_left_table(monkeypatch):
-    columns = []
-    walk = algebra._kahn_order
-
-    def recording(nodes, cols, count):
-        columns.append(cols)
-        return walk(nodes, cols, count)
-
-    monkeypatch.setattr(algebra, "_kahn_order", recording)
+def test_prefix_links_spell_each_element_and_give_the_left_table():
     dfas = [minimize(d) for d in support.random_corpus()]
     for d in dfas + [_group_dfa(4, False), _group_dfa(3, True)]:
         m = transition_monoid(d)
@@ -279,9 +282,13 @@ def test_prefix_links_spell_each_element_and_give_the_left_table(monkeypatch):
         for i in range(1, len(m)):
             assert m.prefix[i] < i
             assert m.elements[i] == compose(m.elements[m.prefix[i]], gens[m.final[i]])
-        columns.clear()
-        is_l_trivial(m)
-        assert columns == [[[m.index[compose(g, x)] for x in m.elements] for g in gens]]
+        # the left columns stop and resume: grown to 1, 2, 4, ... entries, then all
+        left = [[g] for g in m.right[: len(gens)]]
+        stop = 1
+        while stop < len(m):
+            stop = min(2 * stop, len(m))
+            algebra._extend_left(m, left, stop)
+            assert left == [[m.index[compose(g, x)] for x in m.elements[:stop]] for g in gens]
 
 
 def test_words_are_spelled_only_when_read(monkeypatch):
@@ -352,8 +359,8 @@ def test_closure_matches_the_tuple_reference():
         left = [[index[tuple(x[q] for q in g)] for x in elements] for g in gens]
         size = len(elements)
         right_columns = [right[c :: len(gens)] for c in range(len(gens))]
-        r_trivial = algebra._kahn_order(range(size), right_columns, size) is not None
-        l_trivial = algebra._kahn_order(range(size), left, size) is not None
+        r_trivial = _kahn_order(range(size), right_columns, size) is not None
+        l_trivial = _kahn_order(range(size), left, size) is not None
         assert green_report(d) == algebra.GreenReport(
             monoid_size=size,
             r_trivial=r_trivial,
@@ -366,6 +373,46 @@ def test_closure_matches_the_tuple_reference():
         assert {type(x) for x in m._raw} == {bytes if d.state_count <= 256 else tuple}
     cycles = [green_report(d) for d in dfas[-3:]]
     assert cycles == [(n, False, False, False, True, False, 1) for n in (255, 256, 257)]
+
+
+def test_cycle_search_agrees_with_kahns_pass_and_the_brute_ideals():
+    dfas = [*census(3, "ab").values(), *census(2, "abc").values()]
+    dfas += [minimize(d) for d in support.random_corpus()]
+    dfas += [_group_dfa(n, False) for n in range(2, 7)] + [_group_dfa(n, True) for n in range(2, 6)]
+    dfas += [one_letter_cycle(n) for n in (255, 256, 257)] + [Dfa("", [()], 0, {0})]
+    for d in dfas:
+        m = transition_monoid(d)
+        gens, size = list(m.generator_map.values()), len(m)
+        right = [[m.index[compose(x, g)] for x in m.elements] for g in gens]
+        left = [[m.index[compose(g, x)] for x in m.elements] for g in gens]
+        r_trivial = _kahn_order(range(size), right, size) is not None
+        l_trivial = _kahn_order(range(size), left, size) is not None
+        assert (is_r_trivial(m), is_l_trivial(m)) == (r_trivial, l_trivial)
+        # the search on the whole left columns, with nothing left to grow
+        assert algebra._acyclic(left, size) == l_trivial
+        # the quadratic brute force stops at its first repeated ideal, which
+        # comes early on a non-trivial side; a trivial side builds them all
+        if size <= 800 or not r_trivial:
+            assert oracles.brute_r_trivial(m.elements) == r_trivial
+        if size <= 800 or not l_trivial:
+            assert oracles.brute_l_trivial(m.elements) == l_trivial
+
+
+def test_the_cycle_search_reads_the_left_columns_only_as_far_as_it_goes(monkeypatch):
+    reached = []
+    search = algebra._acyclic
+
+    def recording(cols, size, grow=None):
+        result = search(cols, size, grow)
+        reached.append(len(cols[0]))
+        return result
+
+    monkeypatch.setattr(algebra, "_acyclic", recording)
+    m = transition_monoid(_group_dfa(6, False))
+    assert len(m) == 720
+    assert not is_l_trivial(m)
+    # the first cycle closes near the identity: a tenth of the columns at most
+    assert len(reached) == 1 and reached[0] < 72
 
 
 def reference_literally_idempotent(d: Dfa) -> bool:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 import time
@@ -320,6 +321,21 @@ def test_verify_refuses_a_negative_budget():
         verify_construction(SubsequencePattern("a", "ab"), 3, max_words=-5)
     with pytest.raises(ResourceLimitError, match="budget of 0"):
         verify_construction(SubsequencePattern("a", "ab"), 0, max_words=0)
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ({"max_len": 2.5}, "maximum word length must be an int, got 2.5"),
+        ({"max_len": True}, "maximum word length must be an int, got True"),
+        ({"max_len": "3"}, "maximum word length must be an int, got '3'"),
+        ({"max_len": 3, "max_words": 1e9}, "word budget must be an int, got 1000000000.0"),
+        ({"max_len": 3, "max_words": False}, "word budget must be an int, got False"),
+    ],
+)
+def test_verify_refuses_bounds_that_are_not_ints(bounds, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_construction(SubsequencePattern("a", "ab"), **bounds)
 
 
 def test_verify_budget_refuses_long_words_at_once():

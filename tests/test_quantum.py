@@ -164,6 +164,14 @@ def test_observable_refuses_a_dimension_that_is_not_a_positive_int(dimension):
         Observable(dimension, [("p", np.eye(2))])
 
 
+@pytest.mark.parametrize("dimension", [2.5, True, "2", 0, -1])
+def test_identity_observable_refuses_a_dimension_by_the_observable_rule(dimension):
+    # the rule runs before np.eye, whose own TypeError or ValueError would come first
+    message = f"observable dimension must be a positive int, got {dimension!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        identity_observable(dimension)
+
+
 @pytest.mark.parametrize("label", ["", "a b", "\t", 0])
 def test_observable_refuses_labels_the_text_format_cannot_carry(label):
     message = f"structural: outcome label {label!r} is not a non-empty string without whitespace"
